@@ -268,6 +268,13 @@ def make_builtin(kind: str, **params) -> BaseSequence:
     return factory(*(params[k] for k in wanted))
 
 
+def _listed_name(kind: str, numbers: Sequence[int]) -> str:
+    try:
+        return f"{kind}{list(numbers)}"
+    except ValueError:  # the interpreter's int/str conversion limit
+        raise InvalidParameter(f"{kind} base: a number has too many decimal digits to name") from None
+
+
 def make_explicit(terms: Sequence[int]) -> BaseSequence:
     """A finite base over exactly the given terms (must start at 1, strictly increase)."""
     terms = list(terms)
@@ -279,7 +286,7 @@ def make_explicit(terms: Sequence[int]) -> BaseSequence:
         if b <= a:
             raise NotStrictlyIncreasing(f"terms must strictly increase: {a} then {b}")
     return BaseSequence(
-        f"explicit{terms}",
+        _listed_name("explicit", terms),
         ("explicit", tuple(terms)),
         iter(()),
         capacity=len(terms),
@@ -294,7 +301,7 @@ def make_mixed_radix(spec: MixedRadixSpec | Sequence[int], cyclic: bool = False)
     capacity = None if spec.cyclic else len(spec.bounds) + 1
     suffix = " cyclic" if spec.cyclic else ""
     return BaseSequence(
-        f"mixed-radix{list(spec.bounds)}{suffix}",
+        _listed_name("mixed-radix", spec.bounds) + suffix,
         ("mixed-radix", spec.bounds, spec.cyclic),
         spec.weights(),
         capacity=capacity,
@@ -328,7 +335,10 @@ def parse_base_file(text: str) -> BaseSequence:
             continue
         if not (line.isascii() and line.isdigit()):
             raise InvalidParameter(f"expected a decimal natural, got {line!r}")
-        numbers.append(int(line))
+        try:
+            numbers.append(int(line))
+        except ValueError:  # the interpreter's int/str conversion limit
+            raise InvalidParameter(f"a {len(line)}-digit line exceeds the integer conversion limit") from None
     if kind == "terms":
         return make_explicit(numbers)
     return make_mixed_radix(numbers, cyclic=cyclic)

@@ -25,27 +25,21 @@ EXIT_CAPACITY = 3
 EXIT_ARITH = 4
 EXIT_VERIFY = 5
 
-_PLAIN_BASES = ("prime", "square", "factorial", "fibonacci", "lucas")
-
-
 def resolve_base(spec: str) -> base_sequences.BaseSequence:
-    """Turn a --base argument into a BaseSequence.
-
-    Accepted: prime | square | mpower:<m> | factorial | power:<p> |
-    fibonacci | lucas | file:<path>.
-    """
+    """Turn a --base argument, ``name[:param]`` or ``file:<path>``, into a BaseSequence."""
     if spec.startswith("file:"):
         return base_sequences.load_base_file(spec[len("file:"):])
     name, _, arg = spec.partition(":")
-    if name in _PLAIN_BASES:
-        if arg:
-            raise InvalidParameter(f"base {name!r} takes no parameter")
-        return base_sequences.make_builtin(name)
-    if name == "mpower":
-        return base_sequences.make_builtin("mpower", m=_natural(arg, "mpower exponent"))
-    if name == "power":
-        return base_sequences.make_builtin("power", p=_natural(arg, "power radix"))
-    raise InvalidParameter(f"unknown base spec {spec!r}")
+    try:
+        _, params = base_sequences._BUILTINS[name]
+    except KeyError:
+        raise InvalidParameter(f"unknown base spec {spec!r}") from None
+    values = [arg] if arg else []
+    if len(values) != len(params):
+        raise InvalidParameter(f"base {name!r} takes parameters {list(params)}, got {spec!r}")
+    return base_sequences.make_builtin(
+        name, **{p: _natural(v, f"{name} parameter {p}") for p, v in zip(params, values)}
+    )
 
 
 def _natural(s: str, what: str) -> int:
@@ -147,11 +141,8 @@ def _cmd_verify(args) -> int:
 
 
 def _add_base_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--base",
-        required=True,
-        help="prime | square | mpower:<m> | factorial | power:<p> | fibonacci | lucas | file:<path>",
-    )
+    families = [name + "".join(f":<{k}>" for k in params) for name, (_, params) in base_sequences._BUILTINS.items()]
+    p.add_argument("--base", required=True, help=" | ".join(families + ["file:<path>"]))
 
 
 def _add_format_args(p: argparse.ArgumentParser) -> None:
@@ -216,6 +207,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
+    # decimal I/O is this command's job: lift the int/str conversion limit
+    # (Python >= 3.10.7) while it runs, and restore it for in-process callers
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (Underflow, DivisionByZero) as e:
@@ -230,6 +226,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

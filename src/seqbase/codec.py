@@ -183,18 +183,11 @@ def expansion_superior_parts(base: BaseSequence, value: int) -> list[int]:
     """Terms removed by iterating the largest-weight rule, largest first.
 
     The list is non-increasing, sums to the value, and as a multiset equals
-    the weighted digits of encode_greedy.
+    the weighted digits of encode_greedy: each position contributes its
+    weight once per unit of its digit.
     """
-    if value < 0:
-        raise InvalidParameter(f"cannot expand a negative value: {value}")
-    _check_encodable(base, value)
-    parts = []
-    rest = value
-    while rest:
-        _, w = base.superior_part(rest)
-        parts.append(w)
-        rest -= w
-    return parts
+    term = base.term
+    return [term(i) for i, d in reversed(_greedy_entries(base, value)) for _ in range(d)]
 
 
 def verify_range(base: BaseSequence, lo: int, hi: int) -> VerificationReport:

@@ -108,7 +108,10 @@ def _delimited_fields(s: str, sep: str) -> list[int]:
             raise DigitSyntaxError(f"invalid digit field {f!r}")
         if len(f) > 1 and f[0] == "0":
             raise LeadingZero(f"leading zero in field {f!r}")
-        values.append(int(f))
+        try:
+            values.append(int(f))
+        except ValueError:  # the interpreter's int/str conversion limit
+            raise DigitSyntaxError(f"a {len(f)}-digit field exceeds the integer conversion limit") from None
     if values[0] == 0:
         raise LeadingZero(f"most significant digit is zero in {s!r}")
     return values

@@ -1,10 +1,11 @@
-"""Digit-wise arithmetic for pure mixed-radix bases, with a value-level fallback.
+"""Arithmetic on canonical representations, with the mixed-radix carry/borrow chain as a trace.
 
-In a pure mixed-radix base (w_{i+1} = (t_i + 1) * w_i) position i adds and
-subtracts at radix t_i + 1, so carries and borrows stay local.  Bases
-without that structure (prime, square, ...) have no closed digit rule and
-fall back to decode -> integer op -> re-encode; both paths agree wherever
-both apply.  Multiplication and division are value-level only.
+Every result comes from values: decode -> integer op -> re-encode.  A
+canonical form is unique, so any digit rule gives the same digits.  In a
+pure mixed-radix base (w_{i+1} = (t_i + 1) * w_i) position i adds and
+subtracts at radix t_i + 1, so carries and borrows stay local; add and sub
+walk that chain digit by digit only to fill a requested trace.  Other bases
+(prime, square, ...), mul and divrem have no digit rule to show.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ from .errors import (
 class ArithTrace:
     """Filled in when passed as the `trace` argument of an arithmetic op.
 
-    `path` records which route ran ("digitwise" or "decode"); `states` holds
-    the working digit vector after each single borrow transfer, starting
-    with the untouched minuend.
+    `path` is "digitwise" when add or sub walked the carry/borrow chain of a
+    pure mixed-radix base, and "decode" when there is no digit rule to walk.
+    `events` holds one line per carry position or borrow; `states` holds the
+    working digit vector after each single borrow transfer, starting with
+    the untouched minuend.  The walk only records: the result always comes
+    from the values.
     """
 
     path: str = ""
@@ -37,40 +41,30 @@ class ArithTrace:
 
 
 def is_pure_mixed_radix(base: BaseSequence, upto: int) -> bool:
-    """True when w_{i+1} = (digit_bound(i) + 1) * w_i for every i < upto."""
+    """True when w_{i+1} = (digit_bound(i) + 1) * w_i for every i < upto.
+
+    A finite base with no weight w_upto is not pure that far.
+    """
     if upto < 1:
         raise InvalidParameter(f"upto must be >= 1, got {upto}")
-    for i in range(upto):
-        if base.term(i + 1) != (base.digit_bound(i) + 1) * base.term(i):
-            return False
-    return True
+    try:
+        return all(base.term(i + 1) == (base.digit_bound(i) + 1) * base.term(i) for i in range(upto))
+    except IndexBeyondCapacity:
+        return False
 
 
-def _same_base(x: Representation, y: Representation) -> BaseSequence:
+def _operands(x: Representation, y: Representation) -> tuple[BaseSequence, int, int]:
+    """The shared base and the values of two canonical operands."""
     if x.base != y.base:
         raise InvalidParameter(f"operands use different bases: {x.base.name} vs {y.base.name}")
-    return x.base
-
-
-def _require_canonical(rep: Representation) -> None:
-    if not is_canonical(rep):
-        raise NotCanonical(f"operand is not canonical in base {rep.base.name}")
-
-
-def _pure_upto(base: BaseSequence, upto: int) -> bool:
-    if upto < 1:
-        return True
-    try:
-        return is_pure_mixed_radix(base, upto)
-    except IndexBeyondCapacity:
-        return False  # missing successor weight: treat as not closed, fall back
+    for rep in (x, y):
+        if not is_canonical(rep):
+            raise NotCanonical(f"operand is not canonical in base {rep.base.name}")
+    return x.base, decode(x), decode(y)
 
 
 def _dense(rep: Representation, width: int) -> list[int]:
-    out = [0] * width
-    for pos, d in rep.entries:
-        out[pos] = d
-    return out
+    return list(rep.digits) + [0] * (width - len(rep.digits))
 
 
 def _state(digits_le: list[int], sep: str = ".") -> str:
@@ -81,104 +75,86 @@ def _state(digits_le: list[int], sep: str = ".") -> str:
 
 
 def add(x: Representation, y: Representation, trace: ArithTrace | None = None) -> Representation:
-    """Canonical sum of two canonical representations."""
-    base = _same_base(x, y)
-    _require_canonical(x)
-    _require_canonical(y)
-    n = max(x.top, y.top)
-    if n >= 0 and _pure_upto(base, n + 1):
-        if trace is not None:
-            trace.path = "digitwise"
-        a = _dense(x, n + 1)
-        b = _dense(y, n + 1)
-        out = []
-        carry = 0
-        for i in range(n + 1):
-            radix = base.digit_bound(i) + 1
-            carry_in = carry
-            carry, d = divmod(a[i] + b[i] + carry_in, radix)
-            out.append(d)
-            if trace is not None:
-                trace.events.append(
-                    f"pos {i} (radix {radix}): {a[i]}+{b[i]}+{carry_in} -> digit {d} carry {carry}"
-                )
-        if carry:
-            base.term(n + 1)  # the carried unit needs a real weight
-            out.append(carry)
-        return Representation.from_digits(base, out)
+    """Canonical sum of two canonical representations, computed on their values.
+
+    With a trace on a pure mixed-radix base, the carry chain is walked from
+    the lowest position up and each position's carry is recorded.
+    """
+    base, vx, vy = _operands(x, y)
     if trace is not None:
+        _walk_carries(base, x, y, trace)
+    return encode_greedy(base, vx + vy)
+
+
+def _walk_carries(base: BaseSequence, x: Representation, y: Representation, trace: ArithTrace) -> None:
+    n = max(x.top, y.top)
+    if n < 0 or not is_pure_mixed_radix(base, n + 1):
         trace.path = "decode"
-    return encode_greedy(base, decode(x) + decode(y))
+        return
+    trace.path = "digitwise"
+    a = _dense(x, n + 1)
+    b = _dense(y, n + 1)
+    carry = 0
+    for i in range(n + 1):
+        radix = base.digit_bound(i) + 1
+        carry_in = carry
+        carry, d = divmod(a[i] + b[i] + carry_in, radix)
+        trace.events.append(f"pos {i} (radix {radix}): {a[i]}+{b[i]}+{carry_in} -> digit {d} carry {carry}")
 
 
 def sub(x: Representation, y: Representation, trace: ArithTrace | None = None) -> Representation:
-    """Canonical difference x - y of canonical representations (x >= y).
+    """Canonical difference x - y of canonical representations (x >= y), computed on their values.
 
-    On a pure mixed-radix base a failing position borrows from the nearest
-    nonzero position to its left: each step moves one unit down, turning it
-    into radix-many units of the next position, exactly the chain a hand
-    calculation walks through.
+    With a trace on a pure mixed-radix base, the borrow chain is walked: a
+    failing position borrows from the nearest nonzero position to its left,
+    each step moving one unit down and turning it into radix-many units of
+    the next position, exactly the chain a hand calculation walks through.
     """
-    base = _same_base(x, y)
-    _require_canonical(x)
-    _require_canonical(y)
-    if y.top > x.top:
-        # a canonical value is at least its top weight and below the next one
-        raise Underflow(f"cannot subtract a larger value (top position {y.top} > {x.top})")
-    n = x.top
-    if n >= 0 and _pure_upto(base, n):
-        if trace is not None:
-            trace.path = "digitwise"
-        work = _dense(x, n + 1)
-        b = _dense(y, n + 1)
-        if trace is not None:
-            trace.states.append(_state(work))
-        out = []
-        for i in range(n + 1):
-            if work[i] < b[i]:
-                j = i + 1
-                while j <= n and work[j] == 0:
-                    j += 1
-                if j > n:
-                    raise Underflow(f"{base.name}: subtrahend exceeds minuend")
-                if trace is not None:
-                    trace.events.append(f"pos {i}: {work[i]} < {b[i]}, borrow reaches pos {j}")
-                for k in range(j, i, -1):
-                    work[k] -= 1
-                    work[k - 1] += base.digit_bound(k - 1) + 1
-                    if trace is not None:
-                        trace.states.append(_state(work))
-            out.append(work[i] - b[i])
-        return Representation.from_digits(base, out)
-    if trace is not None:
-        trace.path = "decode"
-    vx, vy = decode(x), decode(y)
+    base, vx, vy = _operands(x, y)
     if vy > vx:
-        raise Underflow(f"cannot subtract {vy} from {vx}")
+        raise Underflow(f"{base.name}: subtrahend exceeds minuend")
+    if trace is not None:
+        _walk_borrows(base, x, y, trace)
     return encode_greedy(base, vx - vy)
+
+
+def _walk_borrows(base: BaseSequence, x: Representation, y: Representation, trace: ArithTrace) -> None:
+    n = x.top
+    if n < 0 or (n > 0 and not is_pure_mixed_radix(base, n)):
+        trace.path = "decode"
+        return
+    trace.path = "digitwise"
+    work = _dense(x, n + 1)
+    b = _dense(y, n + 1)
+    trace.states.append(_state(work))
+    for i in range(n + 1):
+        if work[i] < b[i]:
+            j = i + 1
+            while work[j] == 0:  # x >= y, so a nonzero position lies to the left
+                j += 1
+            trace.events.append(f"pos {i}: {work[i]} < {b[i]}, borrow reaches pos {j}")
+            for k in range(j, i, -1):
+                work[k] -= 1
+                work[k - 1] += base.digit_bound(k - 1) + 1
+                trace.states.append(_state(work))
 
 
 def mul(x: Representation, y: Representation, trace: ArithTrace | None = None) -> Representation:
     """Canonical product, via value arithmetic (no digit-level rule exists here)."""
-    base = _same_base(x, y)
-    _require_canonical(x)
-    _require_canonical(y)
+    base, vx, vy = _operands(x, y)
     if trace is not None:
         trace.path = "decode"
-    return encode_greedy(base, decode(x) * decode(y))
+    return encode_greedy(base, vx * vy)
 
 
 def divrem(
     x: Representation, y: Representation, trace: ArithTrace | None = None
 ) -> tuple[Representation, Representation]:
     """Canonical quotient and remainder, via value arithmetic."""
-    base = _same_base(x, y)
-    _require_canonical(x)
-    _require_canonical(y)
-    vy = decode(y)
+    base, vx, vy = _operands(x, y)
     if vy == 0:
         raise DivisionByZero("division by zero")
     if trace is not None:
         trace.path = "decode"
-    q, r = divmod(decode(x), vy)
+    q, r = divmod(vx, vy)
     return encode_greedy(base, q), encode_greedy(base, r)

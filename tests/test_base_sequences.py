@@ -159,6 +159,11 @@ class TestMixedRadix:
         with pytest.raises(InvalidParameter):
             bs.MixedRadixSpec(())
 
+    def test_bound_beyond_int_str_limit_rejected(self):
+        # the name lists the bounds in decimal, which the interpreter caps at 4300 digits
+        with pytest.raises(InvalidParameter):
+            bs.make_mixed_radix([10**5000], cyclic=True)
+
 
 class TestSuperiorPart:
     def test_prime_ten(self, prime_base):
@@ -233,7 +238,8 @@ class TestInvariants:
 class TestConcurrency:
     def test_concurrent_readers_see_identical_terms(self):
         base = bs.prime()
-        expected = [bs.prime().term(i) for i in range(2_000)]
+        fresh = bs.prime()
+        expected = [fresh.term(i) for i in range(2_000)]
         results = []
         errors = []
 
@@ -289,3 +295,7 @@ class TestBaseFile:
     def test_empty_file(self):
         with pytest.raises(InvalidParameter):
             bs.parse_base_file("")
+
+    def test_line_beyond_int_str_limit_rejected(self):
+        with pytest.raises(InvalidParameter):
+            bs.parse_base_file("format=bounds\n" + "9" * 4400)

@@ -91,6 +91,10 @@ class TestParse:
         with pytest.raises(DigitSyntaxError):
             parse(FACTORIAL, bad, delimited())
 
+    def test_field_beyond_int_str_limit_rejected(self):
+        with pytest.raises(DigitSyntaxError):
+            parse(bs.power_of(10), "." + "9" * 4400)
+
     def test_forced_delimited_requires_separator(self):
         with pytest.raises(DigitSyntaxError):
             parse(FACTORIAL, "12", delimited())

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from seqbase import base_sequences as bs
 from seqbase.codec import Representation, decode, encode_greedy
 from seqbase.digit_text import parse, render
-from seqbase.errors import DivisionByZero, InvalidParameter, NotCanonical, Underflow
+from seqbase.errors import DivisionByZero, IndexBeyondCapacity, InvalidParameter, NotCanonical, Underflow
 from seqbase.mixed_radix_arith import ArithTrace, add, divrem, is_pure_mixed_radix, mul, sub
 
 FACTORIAL = bs.factorial()
@@ -186,3 +186,103 @@ class TestCarryLocality:
             assert trace.path == "digitwise"
             for line in trace.events:
                 assert line.endswith("carry 0") or line.endswith("carry 1")
+
+
+POWER_TEN = bs.power_of(10)
+CYCLIC = bs.make_mixed_radix([3, 1, 4], cyclic=True)
+FINITE = bs.make_mixed_radix([1, 2, 3, 4])  # weights 1, 2, 6, 24, 120
+FINITE_MAX = FINITE.max_encodable()  # 120 + 119 = 239
+
+# an unbounded pure base and the range its operands are drawn from
+UNBOUNDED = [(FACTORIAL, 10**9), (POWER_TEN, 10**30), (CYCLIC, 10**30)]
+
+
+def state_digits(state):
+    """Little-endian digits of a borrow-chain state string."""
+    return [int(t) for t in (state.split(".") if "." in state else state)][::-1]
+
+
+def check_carry_walk(trace, x, y, result):
+    """The carry walk's digits, plus its final carry, spell the sum it came with."""
+    if trace.path != "digitwise":
+        return
+    assert len(trace.events) == max(x.top, y.top) + 1
+    digits = [int(line.split("-> digit ")[1].split()[0]) for line in trace.events]
+    carry = int(trace.events[-1].rsplit("carry ", 1)[1])
+    assert tuple(digits + [carry] * bool(carry)) == result.digits
+
+
+def check_borrow_walk(trace, x, y, result):
+    """The borrow walk's last state, less the subtrahend, is the difference it came with."""
+    if trace.path != "digitwise":
+        return
+    assert state_digits(trace.states[0]) == list(x.digits)
+    work = state_digits(trace.states[-1])
+    b = list(y.digits) + [0] * (len(work) - len(y.digits))
+    diff = [w - d for w, d in zip(work, b)]
+    assert min(diff) >= 0
+    while diff and diff[-1] == 0:
+        diff.pop()
+    assert tuple(diff) == result.digits
+
+
+class TestOracleEquivalenceBeyondFactorial:
+    @pytest.mark.parametrize("base, hi", UNBOUNDED[1:], ids=["power10", "cyclic"])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_add_matches_value_oracle(self, base, hi, data):
+        vx, vy = data.draw(st.integers(0, hi)), data.draw(st.integers(0, hi))
+        assert add(encode_greedy(base, vx), encode_greedy(base, vy)) == encode_greedy(base, vx + vy)
+
+    @pytest.mark.parametrize("base, hi", UNBOUNDED[1:], ids=["power10", "cyclic"])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sub_matches_value_oracle(self, base, hi, data):
+        vx, vy = sorted((data.draw(st.integers(0, hi)), data.draw(st.integers(0, hi))), reverse=True)
+        assert sub(encode_greedy(base, vx), encode_greedy(base, vy)) == encode_greedy(base, vx - vy)
+
+    def test_finite_base_add_near_capacity(self):
+        # every pair near the top: the sum is encoded while it fits, IndexBeyondCapacity past it
+        for vx in range(FINITE_MAX - 130, FINITE_MAX + 1):
+            for vy in range(0, FINITE_MAX + 1, 7):
+                x, y = encode_greedy(FINITE, vx), encode_greedy(FINITE, vy)
+                if vx + vy > FINITE_MAX:
+                    with pytest.raises(IndexBeyondCapacity):
+                        add(x, y)
+                else:
+                    assert add(x, y) == encode_greedy(FINITE, vx + vy)
+
+    def test_finite_base_sub_near_capacity(self):
+        for vx in range(FINITE_MAX - 130, FINITE_MAX + 1):
+            for vy in range(0, FINITE_MAX + 1, 7):
+                x, y = encode_greedy(FINITE, vx), encode_greedy(FINITE, vy)
+                if vy > vx:
+                    with pytest.raises(Underflow):
+                        sub(x, y)
+                else:
+                    assert sub(x, y) == encode_greedy(FINITE, vx - vy)
+
+
+class TestTraceWalkMatchesResult:
+    @pytest.mark.parametrize("base, hi", UNBOUNDED, ids=["factorial", "power10", "cyclic"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_walks_on_unbounded_bases(self, base, hi, data):
+        vx, vy = sorted((data.draw(st.integers(0, hi)), data.draw(st.integers(0, hi))), reverse=True)
+        x, y = encode_greedy(base, vx), encode_greedy(base, vy)
+        for op, check in ((add, check_carry_walk), (sub, check_borrow_walk)):
+            trace = ArithTrace()
+            result = op(x, y, trace=trace)
+            assert trace.path == ("digitwise" if vx else "decode")
+            check(trace, x, y, result)
+
+    def test_walks_on_finite_base(self):
+        walked = 0
+        for vx in range(FINITE_MAX + 1):
+            for vy in range(0, min(vx, FINITE_MAX - vx) + 1, 3):
+                x, y = encode_greedy(FINITE, vx), encode_greedy(FINITE, vy)
+                for op, check in ((add, check_carry_walk), (sub, check_borrow_walk)):
+                    trace = ArithTrace()
+                    check(trace, x, y, op(x, y, trace=trace))
+                    walked += trace.path == "digitwise"
+        assert walked > 1000
