@@ -1,18 +1,30 @@
 """Weight sequences for positional numeration over strictly increasing terms.
 
 Every base exposes weights w_0 = 1 < w_1 < w_2 < ..., and digit position i
-weighs w_i.  Built-in families, explicit finite term lists, and mixed-radix
-constructions (w_{i+1} = (t_i + 1) * w_i) all share one lazily materialized,
-memoized interface.
+weighs w_i.  All of them answer through `BaseSequence`: `term(i)`,
+`digit_bound(i)`, `superior_part(v)` (the index and weight of the largest
+term <= v) and `max_encodable()`.  How a family finds its terms follows
+from how they grow:
+
+- square and m-power weights have a closed form, (i + 1)^m, and the index
+  of the largest one <= v is an integer m-th root, so these bases keep no
+  terms at all;
+- prime weights come from a sieve of Eratosthenes that at least doubles
+  each time it grows, up to 10^8 and no further;
+- factorial, power-p, Fibonacci, Lucas, mixed-radix and explicit weights
+  are memoized as a generator yields them.  They grow exponentially or are
+  finite, so a cache that reaches v holds O(log v) terms.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import threading
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     IndexBeyondCapacity,
@@ -21,26 +33,33 @@ from .errors import (
     NotStrictlyIncreasing,
 )
 
-
-def _prime_weights() -> Iterator[int]:
-    """1 followed by the primes, found by trial division against earlier primes."""
-    yield 1
-    yield 2
-    primes = [2]
-    candidate = 3
-    while True:
-        for p in primes:
-            if p * p > candidate:
-                primes.append(candidate)
-                yield candidate
-                break
-            if candidate % p == 0:
-                break
-        candidate += 2
+# The prime sieve covers 0 .. _PRIME_SIEVE_LIMIT and no more.  At the limit
+# it holds 50 MB of sieve (a byte per odd number) and 46 MB of terms.
+_PRIME_SIEVE_LIMIT = 10**8
 
 
-def _power_series_weights(m: int) -> Iterator[int]:
-    return ((i + 1) ** m for i in itertools.count())
+def _iroot(v: int, m: int) -> int:
+    """floor(v ** (1/m)) for v >= 1, exact at any size."""
+    if m == 2:
+        return math.isqrt(v)
+    x = 1 << -(-v.bit_length() // m)  # 2^ceil(bits/m) is above the root
+    while True:  # Newton's steps fall monotonically onto the floor of the root
+        y = ((m - 1) * x + v // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
+
+
+def _odd_primes_below(n: int) -> Iterator[int]:
+    """The odd primes below n (n >= 2), sieved over the odd numbers only."""
+    odd = bytearray([1]) * (n // 2)  # odd[k] stands for 2k + 1
+    odd[0] = 0  # 1 is not prime
+    for k in range(1, (math.isqrt(n - 1) + 1) // 2):
+        if odd[k]:
+            p = 2 * k + 1
+            first = p * p // 2
+            odd[first::p] = bytes(len(range(first, len(odd), p)))
+    return itertools.compress(range(1, n, 2), odd)
 
 
 def _factorial_weights() -> Iterator[int]:
@@ -110,25 +129,29 @@ class MixedRadixSpec:
 
 
 class BaseSequence:
-    """A memoized weight sequence, safe to share across concurrent readers.
+    """A weight sequence, safe to share across concurrent readers.
 
-    The term cache is append-only: once term(i) has been handed out, every
-    later call returns the identical value.
+    `term(i)` answers from the term cache when it holds w_i; past the cache
+    it asks `_term_past_cache(i)`, and `superior_part(v)` asks `_index_le(v)`.
+    This class is the memoized family: both hooks pull terms one at a time
+    from a generator into an append-only list, so once term(i) has been
+    handed out every later call returns the identical value.  The closed-form
+    and sieved families override the two hooks.
     """
 
     def __init__(
         self,
         name: str,
         signature: tuple,
-        weights: Iterator[int],
+        weights: Iterable[int] = (),
         capacity: int | None = None,
         prefix: Sequence[int] = (),
     ):
         self.name = name
         self.signature = signature
         self.capacity = capacity
-        self._weights = weights
-        self._cache: list[int] = list(prefix)
+        self._weights = iter(weights)
+        self._cache = list(prefix)
         self._lock = threading.Lock()
         self._max_encodable: int | None = None
 
@@ -142,20 +165,13 @@ class BaseSequence:
         return hash(self.signature)
 
     def term(self, i: int) -> int:
-        """The weight w_i, materializing and memoizing terms up to i."""
+        """The weight w_i."""
         if i < 0:
             raise InvalidParameter(f"term index must be >= 0, got {i}")
         cache = self._cache
         if i < len(cache):
             return cache[i]
-        if self.capacity is not None and i >= self.capacity:
-            raise IndexBeyondCapacity(
-                f"base {self.name} has only {self.capacity} terms; no term {i}"
-            )
-        with self._lock:
-            while len(cache) <= i:
-                cache.append(next(self._weights))
-        return cache[i]
+        return self._term_past_cache(i)
 
     def digit_bound(self, i: int) -> int:
         """Largest digit allowed at position i: floor((w_{i+1} - 1) / w_i)."""
@@ -169,17 +185,10 @@ class BaseSequence:
         return (self.term(i + 1) - 1) // self.term(i)
 
     def superior_part(self, value: int) -> tuple[int, int]:
-        """(index, weight) of the largest term <= value.
-
-        Extends the cache until a term exceeds value (or a finite base runs
-        out, in which case the final term is the answer), then bisects.
-        """
+        """(index, weight) of the largest term <= value (a finite base's last term past its end)."""
         if value < 1:
             raise InvalidParameter(f"superior part requires a value >= 1, got {value}")
-        self._extend_past(value)
-        cache = self._cache
-        idx = bisect_right(cache, value) - 1
-        return idx, cache[idx]
+        return self._index_le(value)
 
     def max_encodable(self) -> int | None:
         """Largest greedy-encodable value, or None when the base is unbounded.
@@ -197,29 +206,114 @@ class BaseSequence:
             self._max_encodable = total
         return self._max_encodable
 
-    def _extend_past(self, value: int) -> None:
-        while not self._cache or self._cache[-1] <= value:
-            n = len(self._cache)
-            if self.capacity is not None and n >= self.capacity:
+    def _term_past_cache(self, i: int) -> int:
+        if self.capacity is not None and i >= self.capacity:
+            raise IndexBeyondCapacity(
+                f"base {self.name} has only {self.capacity} terms; no term {i}"
+            )
+        cache = self._cache
+        with self._lock:
+            while len(cache) <= i:
+                cache.append(next(self._weights))
+        return cache[i]
+
+    def _index_le(self, value: int) -> tuple[int, int]:
+        cache, cap = self._cache, self.capacity
+        while (not cache or cache[-1] <= value) and (cap is None or len(cache) < cap):
+            self._term_past_cache(len(cache))
+        idx = bisect_right(cache, value) - 1
+        return idx, cache[idx]
+
+
+class _PowerSequence(BaseSequence):
+    """w_i = (i + 1)^m, computed on every call: no term is kept."""
+
+    def __init__(self, name: str, signature: tuple, m: int):
+        super().__init__(name, signature)
+        self._m = m
+
+    def _term_past_cache(self, i: int) -> int:
+        return (i + 1) ** self._m
+
+    def _index_le(self, value: int) -> tuple[int, int]:
+        k = _iroot(value, self._m)
+        return k - 1, k**self._m
+
+
+class _PrimeSequence(BaseSequence):
+    """1 and then the primes, from a sieve that at least doubles whenever it grows.
+
+    A grown sieve's terms go into a new array that replaces the cache in one
+    assignment, so a concurrent reader sees either the old array or the new
+    one, each a complete prefix of the sequence.
+    """
+
+    def __init__(self):
+        super().__init__("prime", ("prime",))
+        self._cache = array("q")
+        self._sieved = 0  # every prime below this is in the cache
+
+    def _term_past_cache(self, i: int) -> int:
+        # p_i > i ln i for i >= 1 (Rosser), and p_i < i (ln i + ln ln i) for i >= 6
+        if i < 6:
+            bound = 13
+        elif i > _PRIME_SIEVE_LIMIT or i * math.log(i) > _PRIME_SIEVE_LIMIT:
+            raise self._beyond_limit("a term this far out")
+        else:
+            bound = int(i * (math.log(i) + math.log(math.log(i))))
+        self._sieve_to(min(bound, _PRIME_SIEVE_LIMIT))
+        cache = self._cache
+        if i >= len(cache):
+            raise self._beyond_limit("a term this far out")
+        return cache[i]
+
+    def _index_le(self, value: int) -> tuple[int, int]:
+        if value >= self._sieved:
+            if value > _PRIME_SIEVE_LIMIT:
+                raise self._beyond_limit("the superior part of a larger value")
+            self._sieve_to(value)
+        cache = self._cache
+        idx = bisect_right(cache, value) - 1
+        return idx, cache[idx]
+
+    def _sieve_to(self, n: int) -> None:
+        """Bring every prime <= n (n <= the sieve limit) into the cache."""
+        with self._lock:
+            if n < self._sieved:
                 return
-            self.term(n)
+            below = min(max(n + 1, 2 * self._sieved), _PRIME_SIEVE_LIMIT + 1)
+            cache = array("q", (1, 2))
+            cache.extend(_odd_primes_below(below))
+            self._cache = cache
+            self._sieved = below
+
+    @staticmethod
+    def _beyond_limit(what: str) -> IndexBeyondCapacity:
+        return IndexBeyondCapacity(
+            f"base prime sieves only the primes up to {_PRIME_SIEVE_LIMIT}; it cannot reach {what}"
+        )
 
 
 def prime() -> BaseSequence:
-    """Weights 1, 2, 3, 5, 7, ... (w_i is the i-th prime for i >= 1)."""
-    return BaseSequence("prime", ("prime",), _prime_weights())
+    """Weights 1, 2, 3, 5, 7, ... (w_i is the i-th prime for i >= 1).
+
+    The terms come from a sieve that stops at 10^8.  A term past the
+    primes up to 10^8, or the superior part of a value above 10^8, raises
+    IndexBeyondCapacity instead of sieving further.
+    """
+    return _PrimeSequence()
 
 
 def square() -> BaseSequence:
     """Weights 1, 4, 9, 16, ... (w_i = (i+1)^2)."""
-    return BaseSequence("square", ("square",), _power_series_weights(2))
+    return _PowerSequence("square", ("square",), 2)
 
 
 def m_power(m: int) -> BaseSequence:
     """Weights w_i = (i+1)^m for an exponent m >= 2."""
     if m < 2:
         raise InvalidParameter(f"m-power base needs m >= 2, got {m}")
-    return BaseSequence(f"mpower:{m}", ("mpower", m), _power_series_weights(m))
+    return _PowerSequence(f"mpower:{m}", ("mpower", m), m)
 
 
 def factorial() -> BaseSequence:

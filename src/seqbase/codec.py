@@ -14,6 +14,8 @@ from typing import Iterable
 from .base_sequences import BaseSequence
 from .errors import IndexBeyondCapacity, InvalidParameter
 
+_DENSE_LIMIT = 10**7  # most positions a dense digit vector may have
+
 
 @dataclass(frozen=True)
 class Representation:
@@ -48,9 +50,18 @@ class Representation:
 
     @cached_property
     def digits(self) -> tuple[int, ...]:
-        """Dense little-endian digit vector (empty for zero)."""
+        """Dense little-endian digit vector (empty for zero).
+
+        A vector of more than 10^7 positions is refused with
+        IndexBeyondCapacity: a closed-form base can encode a value whose top
+        position is far too high to spell out digit by digit.
+        """
         if not self.entries:
             return ()
+        if self.entries[-1][0] >= _DENSE_LIMIT:
+            raise IndexBeyondCapacity(
+                f"a digit vector of more than {_DENSE_LIMIT} positions is too wide to build"
+            )
         dense = [0] * (self.entries[-1][0] + 1)
         for pos, d in self.entries:
             dense[pos] = d

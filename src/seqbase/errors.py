@@ -18,7 +18,11 @@ class NotStrictlyIncreasing(SeqBaseError):
 
 
 class IndexBeyondCapacity(SeqBaseError):
-    """A finite base has no term (or no digit bound) at the requested position."""
+    """A position or value lies past what a base can reach.
+
+    A finite base has no term (or no digit bound) there, the prime base's
+    sieve stops below it, or a dense digit vector would be too wide to build.
+    """
 
 
 class Underflow(SeqBaseError):

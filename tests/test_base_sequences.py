@@ -1,7 +1,9 @@
+import sys
 import threading
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqbase import base_sequences as bs
@@ -25,9 +27,18 @@ def sieve_primes(limit):
 
 class TestBuiltinFamilies:
     def test_prime_terms_match_sieve(self, prime_base):
-        oracle = [1] + sieve_primes(110_000)
-        got = [prime_base.term(i) for i in range(10_001)]
-        assert got == oracle[: 10_001]
+        oracle = [1] + sieve_primes(1_300_000)
+        got = [prime_base.term(i) for i in range(100_001)]
+        assert got == oracle[:100_001]
+
+    def test_prime_terms_at_known_indices(self):
+        # pi(10^6) = 78498 and pi(10^7) = 664579; 999983 and 9999991 are the primes just below
+        base = bs.prime()
+        assert base.term(78498) == 999983
+        assert base.term(664579) == 9999991
+
+    def test_prime_superior_part_of_ten_million(self):
+        assert bs.prime().superior_part(10**7) == (664579, 9999991)
 
     def test_prime_small(self, prime_base):
         assert [prime_base.term(i) for i in range(5)] == [1, 2, 3, 5, 7]
@@ -188,6 +199,56 @@ class TestSuperiorPart:
         base = bs.make_explicit([1, 2, 3])
         assert base.superior_part(100) == (2, 3)
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 7])
+    def test_power_matches_brute_force(self, m):
+        powers = [k**m for k in range(1, 102)]  # 101^2 > 10^4
+        for base in [bs.m_power(m)] + ([bs.square()] if m == 2 else []):
+            for v in range(1, 10**4 + 1):
+                best = max(p for p in powers if p <= v)
+                assert base.superior_part(v) == (powers.index(best), best)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 7])
+    @given(k=st.integers(2, 10**30))
+    @example(k=2)
+    @example(k=10**30)
+    def test_power_exact_around_perfect_powers(self, m, k):
+        for base in [bs.m_power(m)] + ([bs.square()] if m == 2 else []):
+            assert base.superior_part(k**m - 1) == (k - 2, (k - 1) ** m)
+            assert base.superior_part(k**m) == (k - 1, k**m)
+            assert base.superior_part(k**m + 1) == (k - 1, k**m)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.lists(st.integers(0, 3000), min_size=1, max_size=6),
+        st.lists(st.integers(1, 10**6), min_size=1, max_size=6),
+    )
+    def test_fresh_bases_agree_in_either_order(self, indices, values):
+        for make in [bs.prime, bs.square, lambda: bs.m_power(3), bs.factorial, lambda: bs.power_of(10),
+                     bs.fibonacci, bs.lucas, lambda: bs.make_mixed_radix([2, 5], cyclic=True)]:
+            terms_first, parts_first = make(), make()
+            a = [terms_first.term(i) for i in indices], [terms_first.superior_part(v) for v in values]
+            parts = [parts_first.superior_part(v) for v in values]
+            b = [parts_first.term(i) for i in indices], parts
+            assert a == b
+            for v, (i, w) in zip(values, parts):
+                assert w == parts_first.term(i) <= v < parts_first.term(i + 1)
+
+
+class TestPrimeSieveLimit:
+    def test_beyond_limit_fails_fast(self):
+        base = bs.prime()
+        tracemalloc.start()
+        try:
+            for call, arg in [(base.superior_part, 10**12), (base.superior_part, 10**8 + 1),
+                              (base.term, 10**7), (base.term, 10**12), (base.term, 10**5000)]:
+                with pytest.raises(IndexBeyondCapacity, match="100000000"):
+                    call(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert base.superior_part(10) == (4, 7)
+
 
 class TestInvariants:
     @given(st.integers(0, 300))
@@ -260,6 +321,44 @@ class TestConcurrency:
         assert not errors
         for start, got in results:
             assert got == expected[start:] + expected[:start]
+
+    def test_sieve_growth_under_concurrent_readers(self):
+        oracle = [1] + sieve_primes(300_000)
+        failures = []
+
+        def grower(base, v):
+            try:
+                while v < 300_000:
+                    i, w = base.superior_part(v)
+                    if not (w == oracle[i] and w <= v < oracle[i + 1]):
+                        failures.append(("superior_part", v, i, w))
+                    v = v * 3 // 2 + 1
+            except Exception as exc:  # pragma: no cover - failure path
+                failures.append(exc)
+
+        def reader(base, step):
+            try:
+                for i in range(1, len(oracle), step):
+                    if base.superior_part(oracle[i]) != (i, oracle[i]) or base.term(i) != oracle[i]:
+                        failures.append(("reader", i))
+            except Exception as exc:  # pragma: no cover - failure path
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):  # each round grows a fresh base's sieve about 17 times
+                base = bs.prime()
+                threads = [threading.Thread(target=grower, args=(base, v)) for v in (2, 3, 5, 7)]
+                threads += [threading.Thread(target=reader, args=(base, step)) for step in (1, 7, 13, 101)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
 
 
 class TestBaseFile:

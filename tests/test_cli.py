@@ -99,6 +99,20 @@ def test_value_beyond_finite_base_exits_three(capsys, finite_base_file):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["encode", "--base", "prime", "1000000000000"],  # past the prime sieve's limit of 10^8
+        ["encode", "--base", "square", "1" + "0" * 40],  # top position 10^20 - 1: too wide to render
+    ],
+)
+def test_past_a_ceiling_exits_three(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_CAPACITY
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["sub", "--value", "--base", "factorial", "1", "2"],
         ["sub", "--value", "--base", "prime", "1", "2"],
         ["divrem", "--value", "--base", "factorial", "1", "0"],

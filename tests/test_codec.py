@@ -16,6 +16,7 @@ from seqbase.codec import (
     is_canonical,
     verify_range,
 )
+from seqbase.digit_text import render
 from seqbase.errors import IndexBeyondCapacity, InvalidParameter
 
 
@@ -103,6 +104,12 @@ class TestEncodeDecode:
     def test_roundtrip_huge_value(self, factorial_base):
         value = 10**40 + 12345
         assert decode(encode_greedy(factorial_base, value)) == value
+
+    def test_square_far_out(self, square_base):
+        # 10^40 = (10^20)^2 is the square w_(10^20 - 1), so it is a single digit
+        rep = encode_greedy(square_base, 10**40)
+        assert rep.entries == ((10**20 - 1, 1),)
+        assert decode(rep) == 10**40
 
 
 class TestCanonicity:
@@ -290,3 +297,10 @@ class TestRepresentation:
     def test_bool(self, prime_base):
         assert not Representation(prime_base)
         assert encode_greedy(prime_base, 1)
+
+    def test_dense_vector_past_ceiling_refused(self, square_base):
+        for rep in [Representation(square_base, ((10**7, 1),)), encode_greedy(square_base, 10**40)]:
+            with pytest.raises(IndexBeyondCapacity):
+                rep.digits
+            with pytest.raises(IndexBeyondCapacity):
+                render(rep)
