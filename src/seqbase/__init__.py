@@ -1,13 +1,13 @@
 """Positional numeration over arbitrary strictly increasing weight sequences.
 
-Greedy encoding, canonical-form checking, digit-wise mixed-radix
-arithmetic, digit-string formats, and range verification, with the
+Greedy encoding, canonical-form checking, arithmetic on canonical forms
+(computed on values, with the mixed-radix carry/borrow chain as an
+optional trace), digit-string formats, and range verification, with the
 factorial number system as the flagship pure mixed-radix case.
 """
 
 from .base_sequences import (
     BaseSequence,
-    MixedRadixSpec,
     factorial,
     fibonacci,
     load_base_file,
@@ -62,7 +62,6 @@ __all__ = [
     "IndexBeyondCapacity",
     "InvalidParameter",
     "LeadingZero",
-    "MixedRadixSpec",
     "NotCanonical",
     "NotStartingAtOne",
     "NotStrictlyIncreasing",

@@ -11,9 +11,13 @@ from how they grow:
   terms at all;
 - prime weights come from a sieve of Eratosthenes that at least doubles
   each time it grows, up to 10^8 and no further;
-- factorial, power-p, Fibonacci, Lucas, mixed-radix and explicit weights
-  are memoized as a generator yields them.  They grow exponentially or are
-  finite, so a cache that reaches v holds O(log v) terms.
+- every other family is memoized as its weights are produced, and these
+  come from two recurrences: products w_{i+1} = r_i * w_i (factorial with
+  r_i = i + 2, power-p with r_i = p, mixed radix with r_i = t_i + 1) and
+  sums w_{i+2} = w_{i+1} + w_i (Fibonacci from 1, 2 and Lucas from 1, 3);
+  an explicit base hands over its listed terms.  These weights grow
+  exponentially or are finite, so a cache that reaches v holds O(log v)
+  terms.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import math
 import threading
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -36,6 +39,13 @@ from .errors import (
 # The prime sieve covers 0 .. _PRIME_SIEVE_LIMIT and no more.  At the limit
 # it holds 50 MB of sieve (a byte per odd number) and 46 MB of terms.
 _PRIME_SIEVE_LIMIT = 10**8
+# pi(10^8): the primes up to the limit, so w_i exists for i <= this count
+_PRIME_COUNT = 5_761_455
+
+# The largest m-power exponent: w_1 = 2^m has m bits, and a superior part or
+# digit bound computes a power of that size, so an m from the command line
+# could otherwise ask for gigabytes.
+_MPOWER_MAX_M = 1000
 
 
 def _iroot(v: int, m: int) -> int:
@@ -62,70 +72,20 @@ def _odd_primes_below(n: int) -> Iterator[int]:
     return itertools.compress(range(1, n, 2), odd)
 
 
-def _factorial_weights() -> Iterator[int]:
-    w, k = 1, 1
-    while True:
-        yield w
-        k += 1
-        w *= k
-
-
-def _geometric_weights(p: int) -> Iterator[int]:
+def _products(radices: Iterable[int]) -> Iterator[int]:
+    """1, r_0, r_0*r_1, ...: the mixed-radix weights w_{i+1} = r_i * w_i."""
     w = 1
-    while True:
+    yield w
+    for r in radices:
+        w *= r
         yield w
-        w *= p
 
 
-def _fibonacci_weights() -> Iterator[int]:
-    # distinct Fibonacci numbers >= 1: 1, 2, 3, 5, 8, ...
-    a, b = 1, 2
+def _sums(a: int, b: int) -> Iterator[int]:
+    """a, b, a + b, ...: the additive weights w_{i+2} = w_{i+1} + w_i."""
     while True:
         yield a
         a, b = b, a + b
-
-
-def _lucas_weights() -> Iterator[int]:
-    # increasing tail of the Lucas numbers starting at 1: 1, 3, 4, 7, 11, ...
-    # (starting at the conventional leading 2 would lose the required w_0 = 1)
-    a, b = 1, 3
-    while True:
-        yield a
-        a, b = b, a + b
-
-
-@dataclass(frozen=True)
-class MixedRadixSpec:
-    """Per-position digit bounds t_i; the induced weights obey w_{i+1} = (t_i + 1) * w_i.
-
-    A non-cyclic spec defines a finite base of len(bounds) + 1 weights; a
-    cyclic one repeats the bound list forever.
-    """
-
-    bounds: tuple[int, ...]
-    cyclic: bool = False
-
-    def __post_init__(self):
-        bounds = tuple(self.bounds)
-        object.__setattr__(self, "bounds", bounds)
-        if not bounds:
-            raise InvalidParameter("mixed-radix spec needs at least one bound")
-        for i, t in enumerate(bounds):
-            if t < 1:
-                raise InvalidParameter(f"mixed-radix bound t_{i} must be >= 1, got {t}")
-
-    @classmethod
-    def constant(cls, t: int) -> "MixedRadixSpec":
-        """A fixed radix t+1 at every position (t = 9 gives decimal weights)."""
-        return cls((t,), cyclic=True)
-
-    def weights(self) -> Iterator[int]:
-        w = 1
-        yield w
-        bounds = itertools.cycle(self.bounds) if self.cyclic else iter(self.bounds)
-        for t in bounds:
-            w *= t + 1
-            yield w
 
 
 class BaseSequence:
@@ -145,13 +105,12 @@ class BaseSequence:
         signature: tuple,
         weights: Iterable[int] = (),
         capacity: int | None = None,
-        prefix: Sequence[int] = (),
     ):
         self.name = name
         self.signature = signature
         self.capacity = capacity
         self._weights = iter(weights)
-        self._cache = list(prefix)
+        self._cache = []
         self._lock = threading.Lock()
         self._max_encodable: int | None = None
 
@@ -254,18 +213,12 @@ class _PrimeSequence(BaseSequence):
         self._sieved = 0  # every prime below this is in the cache
 
     def _term_past_cache(self, i: int) -> int:
-        # p_i > i ln i for i >= 1 (Rosser), and p_i < i (ln i + ln ln i) for i >= 6
-        if i < 6:
-            bound = 13
-        elif i > _PRIME_SIEVE_LIMIT or i * math.log(i) > _PRIME_SIEVE_LIMIT:
+        if i > _PRIME_COUNT:
             raise self._beyond_limit("a term this far out")
-        else:
-            bound = int(i * (math.log(i) + math.log(math.log(i))))
+        # p_i < i (ln i + ln ln i) for i >= 6 (Rosser)
+        bound = 13 if i < 6 else int(i * (math.log(i) + math.log(math.log(i))))
         self._sieve_to(min(bound, _PRIME_SIEVE_LIMIT))
-        cache = self._cache
-        if i >= len(cache):
-            raise self._beyond_limit("a term this far out")
-        return cache[i]
+        return self._cache[i]
 
     def _index_le(self, value: int) -> tuple[int, int]:
         if value >= self._sieved:
@@ -310,32 +263,34 @@ def square() -> BaseSequence:
 
 
 def m_power(m: int) -> BaseSequence:
-    """Weights w_i = (i+1)^m for an exponent m >= 2."""
+    """Weights w_i = (i+1)^m for an exponent 2 <= m <= 1000."""
     if m < 2:
         raise InvalidParameter(f"m-power base needs m >= 2, got {m}")
+    if m > _MPOWER_MAX_M:  # the value itself may be too long to print
+        raise InvalidParameter(f"m-power base takes m <= {_MPOWER_MAX_M}")
     return _PowerSequence(f"mpower:{m}", ("mpower", m), m)
 
 
 def factorial() -> BaseSequence:
     """Weights 1, 2, 6, 24, ... (w_i = (i+1)!)."""
-    return BaseSequence("factorial", ("factorial",), _factorial_weights())
+    return BaseSequence("factorial", ("factorial",), _products(itertools.count(2)))
 
 
 def power_of(p: int) -> BaseSequence:
     """Weights w_i = p^i for p >= 2; digit strings then read as ordinary base p."""
     if p < 2:
         raise InvalidParameter(f"power base needs p >= 2, got {p}")
-    return BaseSequence(f"power:{p}", ("power", p), _geometric_weights(p))
+    return BaseSequence(f"power:{p}", ("power", p), _products(itertools.repeat(p)))
 
 
 def fibonacci() -> BaseSequence:
     """Weights 1, 2, 3, 5, 8, ... (the distinct Fibonacci numbers, one 1 only)."""
-    return BaseSequence("fibonacci", ("fibonacci",), _fibonacci_weights())
+    return BaseSequence("fibonacci", ("fibonacci",), _sums(1, 2))
 
 
 def lucas() -> BaseSequence:
     """Weights 1, 3, 4, 7, 11, ... (Lucas numbers from 1 upward, 2 dropped)."""
-    return BaseSequence("lucas", ("lucas",), _lucas_weights())
+    return BaseSequence("lucas", ("lucas",), _sums(1, 3))
 
 
 _BUILTINS = {
@@ -382,23 +337,30 @@ def make_explicit(terms: Sequence[int]) -> BaseSequence:
     return BaseSequence(
         _listed_name("explicit", terms),
         ("explicit", tuple(terms)),
-        iter(()),
+        terms,
         capacity=len(terms),
-        prefix=terms,
     )
 
 
-def make_mixed_radix(spec: MixedRadixSpec | Sequence[int], cyclic: bool = False) -> BaseSequence:
-    """Base with weights w_{i+1} = (t_i + 1) * w_i; digit_bound(i) is exactly t_i."""
-    if not isinstance(spec, MixedRadixSpec):
-        spec = MixedRadixSpec(tuple(spec), cyclic=cyclic)
-    capacity = None if spec.cyclic else len(spec.bounds) + 1
-    suffix = " cyclic" if spec.cyclic else ""
+def make_mixed_radix(bounds: Sequence[int], cyclic: bool = False) -> BaseSequence:
+    """Base with weights w_{i+1} = (t_i + 1) * w_i over the digit bounds t_i >= 1.
+
+    digit_bound(i) is exactly t_i.  A finite base has len(bounds) + 1
+    weights; a cyclic one repeats the bounds forever, so [9] with
+    cyclic=True gives the decimal weights 1, 10, 100, ...
+    """
+    bounds = tuple(bounds)
+    if not bounds:
+        raise InvalidParameter("mixed-radix base needs at least one bound")
+    for i, t in enumerate(bounds):
+        if t < 1:
+            raise InvalidParameter(f"mixed-radix bound t_{i} must be >= 1, got {t}")
+    radices = (t + 1 for t in (itertools.cycle(bounds) if cyclic else bounds))
     return BaseSequence(
-        _listed_name("mixed-radix", spec.bounds) + suffix,
-        ("mixed-radix", spec.bounds, spec.cyclic),
-        spec.weights(),
-        capacity=capacity,
+        _listed_name("mixed-radix", bounds) + (" cyclic" if cyclic else ""),
+        ("mixed-radix", bounds, cyclic),
+        _products(radices),
+        capacity=None if cyclic else len(bounds) + 1,
     )
 
 

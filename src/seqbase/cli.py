@@ -93,36 +93,17 @@ def _cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _arith(args, op, two_results: bool = False) -> int:
+def _cmd_arith(args) -> int:
     base = resolve_base(args.base)
     x = _operand(base, args.x, args)
     y = _operand(base, args.y, args)
     trace = mixed_radix_arith.ArithTrace() if args.trace else None
-    result = op(x, y, trace=trace)
+    result = args.op(x, y, trace=trace)
     _emit_trace(trace)
     fmt = _render_format(args)
-    if two_results:
-        q, r = result
-        print(f"{digit_text.render(q, fmt)} {digit_text.render(r, fmt)}")
-    else:
-        print(digit_text.render(result, fmt))
+    results = result if isinstance(result, tuple) else (result,)  # divrem gives (quotient, remainder)
+    print(" ".join(digit_text.render(r, fmt) for r in results))
     return EXIT_OK
-
-
-def _cmd_add(args) -> int:
-    return _arith(args, mixed_radix_arith.add)
-
-
-def _cmd_sub(args) -> int:
-    return _arith(args, mixed_radix_arith.sub)
-
-
-def _cmd_mul(args) -> int:
-    return _arith(args, mixed_radix_arith.mul)
-
-
-def _cmd_divrem(args) -> int:
-    return _arith(args, mixed_radix_arith.divrem, two_results=True)
 
 
 def _cmd_table(args) -> int:
@@ -170,11 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("digits", help="digit string (auto grammar)")
     p.set_defaults(func=_cmd_decode)
 
-    for name, handler, blurb in (
-        ("add", _cmd_add, "add two canonical digit strings"),
-        ("sub", _cmd_sub, "subtract two canonical digit strings"),
-        ("mul", _cmd_mul, "multiply two canonical digit strings"),
-        ("divrem", _cmd_divrem, "divide; prints quotient, space, remainder"),
+    for name, blurb in (
+        ("add", "add two canonical digit strings"),
+        ("sub", "subtract two canonical digit strings"),
+        ("mul", "multiply two canonical digit strings"),
+        ("divrem", "divide; prints quotient, space, remainder"),
     ):
         p = sub.add_parser(name, help=blurb)
         _add_base_arg(p)
@@ -183,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trace", action="store_true", help="print carry/borrow steps to stderr")
         p.add_argument("x")
         p.add_argument("y")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=_cmd_arith, op=getattr(mixed_radix_arith, name))
 
     p = sub.add_parser("table", help="print the representations of a value range")
     _add_base_arg(p)

@@ -164,30 +164,27 @@ def digits_value(base: BaseSequence, digits: Iterable[int]) -> int:
     return sum(d * term(i) for i, d in enumerate(digits) if d)
 
 
-def _entries_canonical(base: BaseSequence, entries) -> bool:
-    if not entries:
-        return True
+def _canonical_value(base: BaseSequence, entries) -> int | None:
+    """The value of ascending (position, digit) entries if they are its greedy form, else None."""
     cap = base.capacity
+    if cap is not None and entries and entries[-1][0] >= cap:
+        return None
     term = base.term
-    if cap is not None:
-        if entries[-1][0] >= cap:
-            return False
-        value = sum(d * term(i) for i, d in entries)
-        if value > base.max_encodable():
-            return False
     running = 0
     for i, d in entries:
         running += d * term(i)
         if cap is not None and i + 1 >= cap:
             continue  # top term of a finite base: no successor weight to test against
         if running >= term(i + 1):
-            return False
-    return True
+            return None
+    if cap is not None and running > base.max_encodable():
+        return None
+    return running
 
 
 def is_canonical(rep: Representation) -> bool:
     """True iff the digits are exactly what encode_greedy yields for their value."""
-    return _entries_canonical(rep.base, rep.entries)
+    return _canonical_value(rep.base, rep.entries) is not None
 
 
 def expansion_superior_parts(base: BaseSequence, value: int) -> list[int]:
@@ -202,19 +199,26 @@ def expansion_superior_parts(base: BaseSequence, value: int) -> list[int]:
 
 
 def verify_range(base: BaseSequence, lo: int, hi: int) -> VerificationReport:
-    """Check round-trip, digit bounds, and canonicity for every value in [lo, hi]."""
+    """Check round-trip, digit bounds, and canonicity for every value in [lo, hi].
+
+    A value whose greedy digits are not canonical counts as a canonicity
+    violation; only canonical digits are decoded for the round trip.
+    """
     if lo < 0:
         raise InvalidParameter(f"range start must be >= 0, got {lo}")
     if lo > hi:
         raise InvalidParameter(f"empty range [{lo}, {hi}]")
     report = VerificationReport(lo, hi)
-    term = base.term
     bound = base.digit_bound
     cap = base.capacity
     for value in range(lo, hi + 1):
         ok = True
         entries = _greedy_entries(base, value)
-        if sum(d * term(i) for i, d in entries) != value:
+        back = _canonical_value(base, entries)
+        if back is None:
+            report.canonicity_violations += 1
+            ok = False
+        elif back != value:
             report.roundtrip_failures += 1
             ok = False
         for i, d in entries:
@@ -224,9 +228,6 @@ def verify_range(base: BaseSequence, lo: int, hi: int) -> VerificationReport:
                 report.bound_violations += 1
                 ok = False
                 break
-        if not _entries_canonical(base, entries):
-            report.canonicity_violations += 1
-            ok = False
         if not ok and report.first_failure is None:
             report.first_failure = value
     return report

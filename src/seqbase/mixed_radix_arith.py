@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .base_sequences import BaseSequence
-from .codec import Representation, decode, encode_greedy, is_canonical
+from .codec import Representation, _canonical_value, encode_greedy
 from .errors import (
     DivisionByZero,
     IndexBeyondCapacity,
@@ -57,10 +57,10 @@ def _operands(x: Representation, y: Representation) -> tuple[BaseSequence, int, 
     """The shared base and the values of two canonical operands."""
     if x.base != y.base:
         raise InvalidParameter(f"operands use different bases: {x.base.name} vs {y.base.name}")
-    for rep in (x, y):
-        if not is_canonical(rep):
-            raise NotCanonical(f"operand is not canonical in base {rep.base.name}")
-    return x.base, decode(x), decode(y)
+    values = [_canonical_value(rep.base, rep.entries) for rep in (x, y)]
+    if None in values:
+        raise NotCanonical(f"operand is not canonical in base {x.base.name}")
+    return x.base, *values
 
 
 def _dense(rep: Representation, width: int) -> list[int]:

@@ -138,12 +138,12 @@ class TestMixedRadix:
             assert base.term(i) == fact.term(i)
 
     def test_decimal_weights_from_constant_nine(self):
-        base = bs.make_mixed_radix(bs.MixedRadixSpec.constant(9))
+        base = bs.make_mixed_radix([9], cyclic=True)
         assert [base.term(i) for i in range(4)] == [1, 10, 100, 1000]
         assert base.capacity is None
 
     def test_binary_weights_from_constant_one(self):
-        base = bs.make_mixed_radix(bs.MixedRadixSpec.constant(1))
+        base = bs.make_mixed_radix([1], cyclic=True)
         assert [base.term(i) for i in range(5)] == [1, 2, 4, 8, 16]
 
     def test_digit_bound_reproduces_bounds(self):
@@ -168,7 +168,7 @@ class TestMixedRadix:
 
     def test_empty_bounds_rejected(self):
         with pytest.raises(InvalidParameter):
-            bs.MixedRadixSpec(())
+            bs.make_mixed_radix([])
 
     def test_bound_beyond_int_str_limit_rejected(self):
         # the name lists the bounds in decimal, which the interpreter caps at 4300 digits
@@ -198,6 +198,27 @@ class TestSuperiorPart:
     def test_finite_base_returns_last_term(self):
         base = bs.make_explicit([1, 2, 3])
         assert base.superior_part(100) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "make, terms",
+        [
+            (lambda: bs.make_explicit([1, 2, 5, 11, 24]), [1, 2, 5, 11, 24]),
+            (lambda: bs.make_mixed_radix([1, 2, 3, 4]), [1, 2, 6, 24, 120]),
+        ],
+    )
+    def test_fresh_finite_bases_agree_in_either_order(self, make, terms):
+        values = range(1, 2 * terms[-1])
+        # oracle: scan the listed terms for the largest one <= v
+        parts = [max((i, w) for i, w in enumerate(terms) if w <= v) for v in values]
+        terms_first, parts_first = make(), make()
+        assert [terms_first.term(i) for i in range(len(terms))] == terms
+        assert [terms_first.superior_part(v) for v in values] == parts
+        assert [parts_first.superior_part(v) for v in values] == parts
+        assert [parts_first.term(i) for i in range(len(terms))] == terms
+        for base in (terms_first, parts_first, make()):
+            with pytest.raises(IndexBeyondCapacity):
+                base.term(len(terms))
+            assert base.capacity == len(terms)
 
     @pytest.mark.parametrize("m", [2, 3, 5, 7])
     def test_power_matches_brute_force(self, m):
@@ -240,7 +261,8 @@ class TestPrimeSieveLimit:
         tracemalloc.start()
         try:
             for call, arg in [(base.superior_part, 10**12), (base.superior_part, 10**8 + 1),
-                              (base.term, 10**7), (base.term, 10**12), (base.term, 10**5000)]:
+                              (base.term, 10**7), (base.term, 10**12), (base.term, 10**5000),
+                              (base.term, 5_761_456), (base.term, 6_000_000)]:
                 with pytest.raises(IndexBeyondCapacity, match="100000000"):
                     call(arg)
             peak = tracemalloc.get_traced_memory()[1]
@@ -248,6 +270,20 @@ class TestPrimeSieveLimit:
             tracemalloc.stop()
         assert peak < 2**20
         assert base.superior_part(10) == (4, 7)
+
+
+class TestMPowerExponentCap:
+    def test_exponent_past_cap_refused_without_building_it(self):
+        tracemalloc.start()
+        try:
+            for m in (1001, 10**8, 10**5000):
+                with pytest.raises(InvalidParameter, match="1000"):
+                    bs.m_power(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert bs.m_power(1000).term(1) == 2**1000
 
 
 class TestInvariants:

@@ -75,6 +75,8 @@ class TestUsageErrors:
             ["decode", "--base", "factorial", "9"],
             ["decode", "--base", "factorial", "12a"],
             ["encode", "--base", "factorial", "-3"],
+            ["encode", "--base", "mpower:1001", "5"],  # m-power exponents stop at 1000
+            ["encode", "--base", "mpower:100000000", "5"],
         ],
     )
     def test_exit_two(self, capsys, argv):

@@ -253,7 +253,7 @@ class TestOrderLaw:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: bs.make_mixed_radix(bs.MixedRadixSpec.constant(9)),
+            lambda: bs.make_mixed_radix([9], cyclic=True),
             lambda: bs.make_mixed_radix([2, 1], cyclic=True),
             lambda: bs.make_mixed_radix([1, 2, 3, 4, 5, 6, 7]),
         ],

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqbase import base_sequences as bs
-from seqbase.codec import Representation, decode, encode_greedy
+from seqbase.codec import Representation, decode, encode_greedy, is_canonical
 from seqbase.digit_text import parse, render
 from seqbase.errors import DivisionByZero, IndexBeyondCapacity, InvalidParameter, NotCanonical, Underflow
 from seqbase.mixed_radix_arith import ArithTrace, add, divrem, is_pure_mixed_radix, mul, sub
@@ -286,3 +286,31 @@ class TestTraceWalkMatchesResult:
                     check(trace, x, y, op(x, y, trace=trace))
                     walked += trace.path == "digitwise"
         assert walked > 1000
+
+
+class TestOperandsPastFiniteCapacity:
+    """make_mixed_radix([1, 2, 3, 4]): weights 1, 2, 6, 24, 120; max_encodable 1 + 4 + 18 + 96 + 120 = 239."""
+
+    BASE = bs.make_mixed_radix([1, 2, 3, 4])
+
+    def test_top_digit_two_is_not_canonical(self):
+        top = Representation.from_digits(self.BASE, [1, 2, 3, 4, 1])
+        over = Representation.from_digits(self.BASE, [0, 0, 0, 0, 2])
+        zero = Representation(self.BASE)
+        assert (decode(top), decode(over)) == (239, 240)
+        assert is_canonical(top)
+        assert not is_canonical(over)
+        assert add(top, zero).digits == (1, 2, 3, 4, 1)
+        assert sub(top, zero).digits == (1, 2, 3, 4, 1)
+        for op in (add, sub):
+            for x, y in ((over, zero), (top, over)):
+                with pytest.raises(NotCanonical):
+                    op(x, y)
+
+    def test_entry_past_last_position_is_not_canonical(self):
+        past = Representation(self.BASE, ((5, 1),))
+        zero = Representation(self.BASE)
+        assert not is_canonical(past)
+        for op in (add, sub):
+            with pytest.raises(NotCanonical):
+                op(past, zero)
