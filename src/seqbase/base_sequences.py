@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import threading
 from array import array
 from bisect import bisect_right
@@ -93,10 +94,19 @@ class BaseSequence:
 
     `term(i)` answers from the term cache when it holds w_i; past the cache
     it asks `_term_past_cache(i)`, and `superior_part(v)` asks `_index_le(v)`.
-    This class is the memoized family: both hooks pull terms one at a time
-    from a generator into an append-only list, so once term(i) has been
-    handed out every later call returns the identical value.  The closed-form
-    and sieved families override the two hooks.
+    `_terms_upto(i)` hands the codec's loops one table whose items 0..i are
+    w_0..w_i, so they index it instead of calling `term` per position.
+    `digit_bound(i)` answers from an append-only bound memo, filled lazily
+    under the lock up to the position asked for; past the memo it asks
+    `_bound_past_memo(i)`.
+
+    This class is the memoized family: its hooks pull terms one at a time
+    from a generator into an append-only list, which is also its term
+    table, so once term(i) or a bound has been handed out every later call
+    returns the identical value.  The closed-form and sieved families
+    override the hooks; they keep no bound memo and compute each bound from
+    its two terms, since their positions reach far past what a contiguous
+    memo could hold.
     """
 
     def __init__(
@@ -111,6 +121,7 @@ class BaseSequence:
         self.capacity = capacity
         self._weights = iter(weights)
         self._cache = []
+        self._bounds: list[int] = []  # the bound memo: digit_bound(i) for i < len
         self._lock = threading.Lock()
         self._max_encodable: int | None = None
 
@@ -134,6 +145,9 @@ class BaseSequence:
 
     def digit_bound(self, i: int) -> int:
         """Largest digit allowed at position i: floor((w_{i+1} - 1) / w_i)."""
+        bounds = self._bounds
+        if 0 <= i < len(bounds):
+            return bounds[i]
         if i < 0:
             raise InvalidParameter(f"digit position must be >= 0, got {i}")
         if self.capacity is not None and i + 1 >= self.capacity:
@@ -141,7 +155,7 @@ class BaseSequence:
                 f"digit bound undefined at position {i}: "
                 f"base {self.name} has no term {i + 1}"
             )
-        return (self.term(i + 1) - 1) // self.term(i)
+        return self._bound_past_memo(i)
 
     def superior_part(self, value: int) -> tuple[int, int]:
         """(index, weight) of the largest term <= value (a finite base's last term past its end)."""
@@ -176,6 +190,20 @@ class BaseSequence:
                 cache.append(next(self._weights))
         return cache[i]
 
+    def _terms_upto(self, i: int) -> Sequence[int]:
+        """A table whose items 0..i are w_0..w_i."""
+        if i >= len(self._cache):
+            self._term_past_cache(i)
+        return self._cache
+
+    def _bound_past_memo(self, i: int) -> int:
+        w = self._terms_upto(i + 1)
+        bounds = self._bounds
+        with self._lock:
+            for j in range(len(bounds), i + 1):
+                bounds.append((w[j + 1] - 1) // w[j])
+        return bounds[i]
+
     def _index_le(self, value: int) -> tuple[int, int]:
         cache, cap = self._cache, self.capacity
         while (not cache or cache[-1] <= value) and (cap is None or len(cache) < cap):
@@ -184,15 +212,42 @@ class BaseSequence:
         return idx, cache[idx]
 
 
+def _bound_from_terms(base: BaseSequence, i: int) -> int:
+    """digit_bound(i) straight from the term table, for the families that keep no bound memo."""
+    w = base._terms_upto(i + 1)
+    return (w[i + 1] - 1) // w[i]
+
+
+class _Powers:
+    """The table of w_i = (i + 1)^m, computed per lookup."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def __getitem__(self, i: int) -> int:
+        return (i + 1) ** self.m
+
+    def __len__(self) -> int:  # every position is in the table; len() can report no more
+        return sys.maxsize
+
+
 class _PowerSequence(BaseSequence):
     """w_i = (i + 1)^m, computed on every call: no term is kept."""
 
     def __init__(self, name: str, signature: tuple, m: int):
         super().__init__(name, signature)
         self._m = m
+        self._table = _Powers(m)
 
     def _term_past_cache(self, i: int) -> int:
-        return (i + 1) ** self._m
+        return self._table[i]
+
+    def _terms_upto(self, i: int) -> Sequence[int]:
+        return self._table
+
+    _bound_past_memo = _bound_from_terms
 
     def _index_le(self, value: int) -> tuple[int, int]:
         k = _iroot(value, self._m)
@@ -219,6 +274,8 @@ class _PrimeSequence(BaseSequence):
         bound = 13 if i < 6 else int(i * (math.log(i) + math.log(math.log(i))))
         self._sieve_to(min(bound, _PRIME_SIEVE_LIMIT))
         return self._cache[i]
+
+    _bound_past_memo = _bound_from_terms
 
     def _index_le(self, value: int) -> tuple[int, int]:
         if value >= self._sieved:

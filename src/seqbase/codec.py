@@ -7,9 +7,11 @@ stays strictly below that position's weight.
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .base_sequences import BaseSequence
 from .errors import IndexBeyondCapacity, InvalidParameter
@@ -128,12 +130,22 @@ def _greedy_entries(base: BaseSequence, value: int) -> list[tuple[int, int]]:
     if value < 0:
         raise InvalidParameter(f"cannot encode a negative value: {value}")
     _check_encodable(base, value)
+    if not value:
+        return []
+    i, wi = base.superior_part(value)
+    w = base._terms_upto(i)
     entries: list[tuple[int, int]] = []
     rest = value
-    while rest:
-        i, w = base.superior_part(rest)
-        d, rest = divmod(rest, w)
+    while True:
+        d, rest = divmod(rest, wi)
         entries.append((i, d))
+        if not rest:
+            break
+        if i <= sys.maxsize:  # rest < w_i, so the next position is lower
+            i = bisect_right(w, rest, 0, i) - 1
+            wi = w[i]
+        else:  # a closed-form base's position past what bisect can index
+            i, wi = base.superior_part(rest)
     entries.reverse()
     return entries
 
@@ -143,7 +155,10 @@ def encode_greedy(base: BaseSequence, value: int) -> Representation:
 
     Repeatedly removes the largest weight not exceeding the rest; the digit
     at position i counts how often w_i was removed.  The result is the
-    unique canonical form of the value.
+    unique canonical form of the value.  One superior part finds the top
+    position; below it the loop walks down the base's term table, bisecting
+    only the positions under the last one, so its work goes to the nonzero
+    digits alone.
     """
     return Representation(base, tuple(_greedy_entries(base, value)))
 
@@ -154,8 +169,10 @@ def decode(rep: Representation) -> int:
     Accepts any digit vector, canonical or not, so it can serve as the
     arithmetic oracle.
     """
-    term = rep.base.term
-    return sum(d * term(i) for i, d in rep.entries)
+    if not rep.entries:
+        return 0
+    w = rep.base._terms_upto(rep.top)
+    return sum(d * w[i] for i, d in rep.entries)
 
 
 def digits_value(base: BaseSequence, digits: Iterable[int]) -> int:
@@ -166,16 +183,20 @@ def digits_value(base: BaseSequence, digits: Iterable[int]) -> int:
 
 def _canonical_value(base: BaseSequence, entries) -> int | None:
     """The value of ascending (position, digit) entries if they are its greedy form, else None."""
+    if not entries:
+        return 0
     cap = base.capacity
-    if cap is not None and entries and entries[-1][0] >= cap:
+    last = -1 if cap is None else cap - 1  # a finite base's top term has no successor to test against
+    if cap is not None and entries[-1][0] > last:
         return None
-    term = base.term
+    w: Sequence[int] = ()
     running = 0
     for i, d in entries:
-        running += d * term(i)
-        if cap is not None and i + 1 >= cap:
-            continue  # top term of a finite base: no successor weight to test against
-        if running >= term(i + 1):
+        j = i if i == last else i + 1  # the highest weight this entry reads
+        if j >= len(w):  # grow the table only as far as the entries get before one fails
+            w = base._terms_upto(j)
+        running += d * w[i]
+        if i != last and running >= w[i + 1]:
             return None
     if cap is not None and running > base.max_encodable():
         return None

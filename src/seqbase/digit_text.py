@@ -5,10 +5,18 @@ Two disjoint surface languages: compact (one character per digit, digits
 compact when every digit fits a character, delimited otherwise; a delimited
 single field is prefixed with the separator so the two grammars never
 collide.
+
+Parsing does its per-digit work at the nonzero positions only: the
+prime, square and m-power bases write a modest number as a long string of
+mostly zeros.  It builds the (position, digit) entries straight from the
+string, with no dense digit vector, and checks the capacity of a finite
+base and the digit bounds at the nonzero positions, lowest first.
+Rendering still writes every position.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .base_sequences import BaseSequence
@@ -21,6 +29,8 @@ from .errors import (
     InvalidParameter,
     LeadingZero,
 )
+
+_NONZERO = re.compile("[1-9]")
 
 
 @dataclass(frozen=True)
@@ -67,7 +77,14 @@ def render(rep: Representation, fmt: RenderFormat = AUTO) -> str:
 
 
 def parse(base: BaseSequence, s: str, fmt: RenderFormat = AUTO) -> Representation:
-    """Inverse of render; digits are validated against the base's bounds."""
+    """Inverse of render; digits are validated against the base's bounds.
+
+    The whole string's syntax is checked first (a delimited string field
+    by field, most significant first).  The (position, digit) entries of
+    the nonzero digits are read straight from the string, and the
+    finite-base capacity and digit bounds are checked at the nonzero
+    positions only, lowest position first; no dense digit vector is built.
+    """
     if not s:
         raise DigitSyntaxError("empty digit string")
     mode = fmt.mode
@@ -76,21 +93,23 @@ def parse(base: BaseSequence, s: str, fmt: RenderFormat = AUTO) -> Representatio
     if s == "0":
         return Representation(base)
     if mode == "compact":
-        msd_first = _compact_fields(s)
+        entries = _compact_entries(s)
     else:
-        msd_first = _delimited_fields(s, fmt.separator)
-    return _validated(base, msd_first)
+        entries = _delimited_entries(s, fmt.separator)
+    _check_bounds(base, entries)
+    return Representation(base, tuple(entries))
 
 
-def _compact_fields(s: str) -> list[int]:
+def _compact_entries(s: str) -> list[tuple[int, int]]:
     if not (s.isascii() and s.isdigit()):
         raise DigitSyntaxError(f"invalid compact digit string {s!r}")
     if s[0] == "0":
         raise LeadingZero(f"leading zero in {s!r}")
-    return [int(c) for c in s]
+    top = len(s) - 1
+    return [(top - m.start(), int(m.group())) for m in _NONZERO.finditer(s)][::-1]
 
 
-def _delimited_fields(s: str, sep: str) -> list[int]:
+def _delimited_entries(s: str, sep: str) -> list[tuple[int, int]]:
     if s.startswith(sep):
         rest = s[1:]
         if sep in rest:
@@ -100,29 +119,29 @@ def _delimited_fields(s: str, sep: str) -> list[int]:
         fields = s.split(sep)
         if len(fields) < 2:
             raise DigitSyntaxError(f"no separator {sep!r} in delimited string {s!r}")
-    values = []
-    for f in fields:
+    top = len(fields) - 1
+    entries = []
+    for k, f in enumerate(fields):
         if not f:
             raise DigitSyntaxError(f"empty digit field in {s!r}")
         if not (f.isascii() and f.isdigit()):
             raise DigitSyntaxError(f"invalid digit field {f!r}")
         if len(f) > 1 and f[0] == "0":
             raise LeadingZero(f"leading zero in field {f!r}")
-        try:
-            values.append(int(f))
-        except ValueError:  # the interpreter's int/str conversion limit
-            raise DigitSyntaxError(f"a {len(f)}-digit field exceeds the integer conversion limit") from None
-    if values[0] == 0:
+        if f != "0":
+            try:
+                entries.append((top - k, int(f)))
+            except ValueError:  # the interpreter's int/str conversion limit
+                raise DigitSyntaxError(f"a {len(f)}-digit field exceeds the integer conversion limit") from None
+    if fields[0] == "0":
         raise LeadingZero(f"most significant digit is zero in {s!r}")
-    return values
+    entries.reverse()
+    return entries
 
 
-def _validated(base: BaseSequence, msd_first: list[int]) -> Representation:
-    digits = msd_first[::-1]
+def _check_bounds(base: BaseSequence, entries: list[tuple[int, int]]) -> None:
     cap = base.capacity
-    for i, d in enumerate(digits):
-        if not d:
-            continue
+    for i, d in entries:
         if cap is not None:
             if i >= cap:
                 raise IndexBeyondCapacity(
@@ -135,7 +154,6 @@ def _validated(base: BaseSequence, msd_first: list[int]) -> Representation:
             raise DigitOutOfRange(
                 i, f"digit {d} at position {i} exceeds bound {bound} in base {base.name}"
             )
-    return Representation.from_digits(base, digits)
 
 
 def table(base: BaseSequence, lo: int, hi: int, fmt: RenderFormat = AUTO) -> list[str]:

@@ -255,6 +255,54 @@ class TestSuperiorPart:
                 assert w == parts_first.term(i) <= v < parts_first.term(i + 1)
 
 
+# fresh-base makers with their first terms listed by hand
+HAND_LISTED = [
+    pytest.param(bs.factorial, [1, 2, 6, 24, 120, 720, 5040, 40320], id="factorial"),
+    pytest.param(lambda: bs.power_of(7), [1, 7, 49, 343, 2401, 16807], id="power:7"),
+    pytest.param(bs.fibonacci, [1, 2, 3, 5, 8, 13, 21, 34, 55], id="fibonacci"),
+    pytest.param(bs.lucas, [1, 3, 4, 7, 11, 18, 29, 47, 76], id="lucas"),
+    pytest.param(lambda: bs.make_mixed_radix([2, 5], cyclic=True), [1, 3, 18, 54, 324, 972], id="cyclic-mixed-radix"),
+    pytest.param(lambda: bs.make_mixed_radix([1, 2, 3, 4]), [1, 2, 6, 24, 120], id="finite-mixed-radix"),
+    pytest.param(lambda: bs.make_explicit([1, 2, 5, 11, 24]), [1, 2, 5, 11, 24], id="explicit"),
+]
+
+
+class TestDigitBoundMemo:
+    @pytest.mark.parametrize("make, terms", HAND_LISTED)
+    def test_bound_first_and_term_first_agree(self, make, terms):
+        expected = [(terms[i + 1] - 1) // terms[i] for i in range(len(terms) - 1)]
+        positions = range(len(expected))
+        top_first, low_first, terms_first = make(), make(), make()
+        assert [top_first.digit_bound(i) for i in reversed(positions)] == expected[::-1]
+        assert [top_first.term(i) for i in range(len(terms))] == terms
+        assert [low_first.digit_bound(i) for i in positions] == expected
+        assert [terms_first.term(i) for i in range(len(terms))] == terms
+        assert [terms_first.digit_bound(i) for i in positions] == expected
+        for base in (top_first, low_first, terms_first):
+            assert [base.digit_bound(i) for i in positions] == expected
+
+    @pytest.mark.parametrize("make, terms", [p for p in HAND_LISTED if p.id in ("finite-mixed-radix", "explicit")])
+    def test_finite_base_refuses_the_top_bound_and_keeps_the_memo(self, make, terms):
+        expected = [(terms[i + 1] - 1) // terms[i] for i in range(len(terms) - 1)]
+        for warm_first in (False, True):
+            base = make()
+            if warm_first:
+                assert base.digit_bound(len(terms) - 2) == expected[-1]
+            for i in (base.capacity - 1, base.capacity, 10**6):
+                with pytest.raises(IndexBeyondCapacity):
+                    base.digit_bound(i)
+            assert [base.digit_bound(i) for i in range(len(expected))] == expected
+            with pytest.raises(IndexBeyondCapacity):
+                base.digit_bound(base.capacity - 1)
+            assert [base.term(i) for i in range(len(terms))] == terms
+
+    def test_closed_form_and_sieved_bounds(self):
+        # squares: floor(((i+2)^2 - 1) / (i+1)^2) is 3 at 0, 2 at 1, then 1; primes: 1 everywhere (Bertrand)
+        assert [bs.square().digit_bound(i) for i in (0, 1, 2, 10**6, 10**20)] == [3, 2, 1, 1, 1]
+        assert bs.m_power(3).digit_bound(0) == 7
+        assert [bs.prime().digit_bound(i) for i in (78497, 0, 1, 2, 664578)] == [1] * 5
+
+
 class TestPrimeSieveLimit:
     def test_beyond_limit_fails_fast(self):
         base = bs.prime()
@@ -392,6 +440,51 @@ class TestConcurrency:
                 for t in threads:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+
+    def test_bound_memo_under_concurrent_readers(self):
+        # independent references: factorial w_(i+1) = (i+2) w_i, so its bound is i+1;
+        # a cyclic mixed radix's bound at i is t_(i mod 3)
+        n = 1_200
+        cases = [
+            (bs.factorial, [i + 1 for i in range(n)]),
+            (lambda: bs.make_mixed_radix([2, 5, 11], cyclic=True), [(2, 5, 11)[i % 3] for i in range(n)]),
+        ]
+        failures = []
+
+        def grower(base, reference, i):
+            try:
+                while i < n:
+                    if base.digit_bound(i) != reference[i]:
+                        failures.append(("grower", i))
+                    i = i * 3 // 2 + 1
+            except Exception as exc:  # pragma: no cover - failure path
+                failures.append(exc)
+
+        def reader(base, reference, step):
+            try:
+                for i in range(0, n, step):
+                    if base.digit_bound(i) != reference[i] or base.digit_bound(i // 2) != reference[i // 2]:
+                        failures.append(("reader", i))
+            except Exception as exc:  # pragma: no cover - failure path
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                for make, reference in cases:
+                    base = make()
+                    threads = [threading.Thread(target=grower, args=(base, reference, i)) for i in (0, 1, 2, 3, 5, 8)]
+                    threads += [threading.Thread(target=reader, args=(base, reference, s)) for s in (1, 7, 13, 101)]
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=60)
+                    assert not any(t.is_alive() for t in threads)
+                    assert [base.digit_bound(i) for i in range(n)] == reference
         finally:
             sys.setswitchinterval(interval)
         assert not failures

@@ -111,6 +111,14 @@ class TestEncodeDecode:
         assert rep.entries == ((10**20 - 1, 1),)
         assert decode(rep) == 10**40
 
+    def test_square_positions_past_the_index_range(self, square_base):
+        # (10^38)^2 + (10^19)^2 + 4 + 1: the second position, 10^19 - 1, is past sys.maxsize
+        value = 10**76 + 10**38 + 5
+        rep = encode_greedy(square_base, value)
+        assert rep.entries == ((0, 1), (1, 1), (10**19 - 1, 1), (10**38 - 1, 1))
+        assert decode(rep) == value
+        assert is_canonical(rep)
+
 
 class TestCanonicity:
     def test_prime_11_not_canonical(self, prime_base):
@@ -145,6 +153,22 @@ class TestCanonicity:
         assert not is_canonical(Representation.from_digits(base, [0, 0, 3]))  # 9 > 6
         assert is_canonical(Representation.from_digits(base, [0, 0, 2]))  # 6 = 3 + 3
         assert not is_canonical(Representation.from_digits(base, [1, 0, 0, 1]))
+
+    def test_position_past_the_prime_sieve_raises(self, prime_base):
+        # the weights past pi(10^8) = 5761455 are out of reach
+        for entries in [((0, 1), (6_000_000, 1)), ((0, 1), (5_761_455, 1))]:
+            with pytest.raises(IndexBeyondCapacity):
+                is_canonical(Representation(prime_base, entries))
+        with pytest.raises(IndexBeyondCapacity):
+            decode(Representation(prime_base, ((0, 5), (6_000_000, 1))))
+
+    @pytest.mark.parametrize("make", [bs.prime, bs.factorial])
+    def test_failing_low_digit_answers_before_a_far_top(self, make):
+        # 5 >= w_1 already fails at position 0, so no weight near the top is built
+        base = make()
+        for top in (5_761_455, 6_000_000, 10**9):
+            assert not is_canonical(Representation(base, ((0, 5), (top, 1))))
+        assert len(base._cache) < 100
 
     @given(st.integers(0, 10**5))
     @settings(max_examples=200, deadline=None)

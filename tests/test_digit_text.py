@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +124,89 @@ class TestParse:
     def test_finite_base_top_digit_unbounded(self):
         base = bs.make_explicit([1, 2, 3])
         assert parse(base, "200").digits == (0, 0, 2)
+
+
+EXPLICIT = bs.make_explicit([1, 2, 5, 11, 24])  # digit bounds 1, 1, 1, 1; position 4 unbounded
+FINITE_MIXED = bs.make_mixed_radix([1, 2, 3, 4])  # weights 1, 2, 6, 24, 120
+
+
+class TestParseErrorParity:
+    """Malformed input and the exact error each one raises, with the position where one is reported."""
+
+    @pytest.mark.parametrize(
+        "base, text, fmt, error, position",
+        [
+            pytest.param(SQUARE, "0103", AUTO, LeadingZero, None, id="compact-leading-zero"),
+            pytest.param(FACTORIAL, "0.1.0", delimited(), LeadingZero, None, id="delimited-leading-zero"),
+            pytest.param(FACTORIAL, "1.01.0", delimited(), LeadingZero, None, id="field-leading-zero"),
+            pytest.param(FACTORIAL, ".0", AUTO, LeadingZero, None, id="prefixed-zero"),
+            pytest.param(SQUARE, "\u0661\u0662", AUTO, DigitSyntaxError, None, id="compact-non-ascii"),
+            pytest.param(FACTORIAL, "1.\u0662", AUTO, DigitSyntaxError, None, id="field-non-ascii"),
+            # the more significant bad field decides the error
+            pytest.param(FACTORIAL, "1.\u0662.01", AUTO, DigitSyntaxError, None, id="non-ascii-before-leading-zero"),
+            pytest.param(FACTORIAL, "1..0", AUTO, DigitSyntaxError, None, id="empty-field"),
+            pytest.param(FACTORIAL, "1.0.", AUTO, DigitSyntaxError, None, id="empty-last-field"),
+            pytest.param(FACTORIAL, ".", AUTO, DigitSyntaxError, None, id="lone-separator"),
+            pytest.param(FACTORIAL, ".1.2", AUTO, DigitSyntaxError, None, id="prefixed-two-fields"),
+            # a field too long for the int/str conversion limit, also before a zero or a bad field
+            pytest.param(bs.power_of(10), "1." + "9" * 4400, AUTO, DigitSyntaxError, None, id="long-field"),
+            pytest.param(bs.power_of(10), "0." + "9" * 4400, AUTO, DigitSyntaxError, None, id="long-field-after-zero"),
+            pytest.param(bs.power_of(10), "9" * 4400 + ".01", AUTO, DigitSyntaxError, None,
+                         id="long-field-before-leading-zero"),
+            # digits over their bound at two positions: the lower one is named
+            pytest.param(SQUARE, "2300", AUTO, DigitOutOfRange, 2, id="dense-two-over-bound"),
+            pytest.param(PRIME, "2" + "0" * 50 + "2" + "0" * 10, AUTO, DigitOutOfRange, 10, id="sparse-two-over-bound"),
+            pytest.param(FACTORIAL, "5.0.9.0", delimited(), DigitOutOfRange, 1, id="delimited-two-over-bound"),
+            pytest.param(FACTORIAL, "5:0:9:0", delimited(":"), DigitOutOfRange, 1, id="colon-two-over-bound"),
+            # a digit past a finite base's capacity, unless a lower digit is already over its bound
+            pytest.param(EXPLICIT, "100000", AUTO, IndexBeyondCapacity, None, id="past-explicit-capacity"),
+            pytest.param(FINITE_MIXED, "1.0.0.0.0.0", AUTO, IndexBeyondCapacity, None, id="past-mixed-capacity"),
+            pytest.param(EXPLICIT, "100009", AUTO, DigitOutOfRange, 0, id="over-bound-below-capacity"),
+            pytest.param(PRIME, "1" + "0" * 6_000_000, AUTO, IndexBeyondCapacity, None, id="past-prime-sieve"),
+        ],
+    )
+    def test_error_class_and_position(self, base, text, fmt, error, position):
+        with pytest.raises(error) as exc:
+            parse(base, text, fmt)
+        assert type(exc.value) is error
+        if position is not None:
+            assert exc.value.position == position
+
+    @pytest.mark.parametrize(
+        "base, text, entries",
+        [
+            (EXPLICIT, "90000", ((4, 9),)),
+            (EXPLICIT, "31111", ((0, 1), (1, 1), (2, 1), (3, 1), (4, 3))),
+            (FINITE_MIXED, "9.4.3.2.1", ((0, 1), (1, 2), (2, 3), (3, 4), (4, 9))),
+        ],
+    )
+    def test_finite_top_term_is_exempt_from_the_bound(self, base, text, entries):
+        assert parse(base, text).entries == entries
+
+
+class TestSparseParse:
+    def test_keeps_no_dense_vector(self):
+        base = bs.square()
+        text = "1" + "0" * 10**6
+        tracemalloc.start()
+        try:
+            rep = parse(base, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.entries == ((10**6, 1),)
+        assert "digits" not in rep.__dict__
+        assert peak < 4 * 2**20
+
+    def test_prime_value_past_position_78000_round_trips(self):
+        # 10^6 = 999983 + 17: w_78498 = 999983 is pi(10^6), w_7 = 17
+        rep = encode_greedy(PRIME, 10**6)
+        assert rep.entries == ((7, 1), (78498, 1))
+        text = render(rep)
+        assert len(text) == 78499
+        back = parse(PRIME, text)
+        assert back.entries == rep.entries
+        assert decode(back) == 10**6
 
 
 class TestRoundTrip:
