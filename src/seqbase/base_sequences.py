@@ -18,6 +18,11 @@ from how they grow:
   an explicit base hands over its listed terms.  These weights grow
   exponentially or are finite, so a cache that reaches v holds O(log v)
   terms.
+
+The product families (factorial, power-p, mixed radix) also keep a chunk
+table for the codec: their radices grouped so that each group's product
+fits one CPython limb, since their greedy digits are the remainders of
+successive division by r_0, r_1, ...
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ from .errors import (
 _PRIME_SIEVE_LIMIT = 10**8
 # pi(10^8): the primes up to the limit, so w_i exists for i <= this count
 _PRIME_COUNT = 5_761_455
+
+# A chunk's radix product stays below this, so dividing by it is one-limb division
+_LIMB = 1 << sys.int_info.bits_per_digit
 
 # The largest m-power exponent: w_1 = 2^m has m bits, and a superior part or
 # digit bound computes a power of that size, so an m from the command line
@@ -104,9 +112,8 @@ class BaseSequence:
     from a generator into an append-only list, which is also its term
     table, so once term(i) or a bound has been handed out every later call
     returns the identical value.  The closed-form and sieved families
-    override the hooks; they keep no bound memo and compute each bound from
-    its two terms, since their positions reach far past what a contiguous
-    memo could hold.
+    override the hooks; they keep no bound memo, since their positions
+    reach far past what a contiguous memo could hold.
     """
 
     def __init__(
@@ -212,10 +219,42 @@ class BaseSequence:
         return idx, cache[idx]
 
 
-def _bound_from_terms(base: BaseSequence, i: int) -> int:
-    """digit_bound(i) straight from the term table, for the families that keep no bound memo."""
-    w = base._terms_upto(i + 1)
-    return (w[i + 1] - 1) // w[i]
+class _RadixSequence(BaseSequence):
+    """A memoized product family, w_{i+1} = r_i * w_i with r_i = digit_bound(i) + 1.
+
+    Its chunk table is a list of (R, radices) tuples: consecutive radices,
+    from position 0 up, with R their product.  A chunk takes radices while R
+    stays below one CPython limb; a radix that is a limb or more by itself
+    fills a chunk alone.  Like the bound memo, the table is filled lazily
+    under the lock only as far as the position asked for, and read without
+    the lock.  It only grows: the next radix joins the last chunk in place
+    while their product stays below a limb, and otherwise starts a new
+    chunk.  Chunks before the last never change, and each version of the
+    last covers all the positions the one before it did, so a reader that
+    has asked for position i reads a table covering i whenever it looks.
+    """
+
+    def __init__(self, name: str, signature: tuple, weights: Iterable[int], capacity: int | None = None):
+        super().__init__(name, signature, weights, capacity)
+        self._chunks: list[tuple[int, tuple[int, ...]]] = []
+        self._chunked = 0  # the chunk table covers positions 0 .. _chunked - 1
+
+    def _chunks_upto(self, i: int) -> Sequence[tuple[int, tuple[int, ...]]]:
+        """A chunk table whose radices cover positions 0..i (i below a finite base's top position)."""
+        if i >= self._chunked:
+            self.digit_bound(i)  # fills the bound memo up to i; it takes the lock itself
+            bounds = self._bounds
+            with self._lock:
+                chunks = self._chunks
+                for j in range(self._chunked, i + 1):
+                    r = bounds[j] + 1
+                    if chunks and chunks[-1][0] * r < _LIMB:  # the last chunk still has room
+                        product, radices = chunks[-1]
+                        chunks[-1] = (product * r, radices + (r,))
+                    else:
+                        chunks.append((r, (r,)))
+                self._chunked = max(self._chunked, i + 1)
+        return self._chunks
 
 
 class _Powers:
@@ -247,7 +286,9 @@ class _PowerSequence(BaseSequence):
     def _terms_upto(self, i: int) -> Sequence[int]:
         return self._table
 
-    _bound_past_memo = _bound_from_terms
+    def _bound_past_memo(self, i: int) -> int:
+        w = self._table
+        return (w[i + 1] - 1) // w[i]
 
     def _index_le(self, value: int) -> tuple[int, int]:
         k = _iroot(value, self._m)
@@ -275,7 +316,11 @@ class _PrimeSequence(BaseSequence):
         self._sieve_to(min(bound, _PRIME_SIEVE_LIMIT))
         return self._cache[i]
 
-    _bound_past_memo = _bound_from_terms
+    def _bound_past_memo(self, i: int) -> int:
+        # p_{i+1} < 2 p_i (Bertrand), so every bound is 1 and no sieving is needed
+        if i >= _PRIME_COUNT:
+            raise self._beyond_limit("a term this far out")
+        return 1
 
     def _index_le(self, value: int) -> tuple[int, int]:
         if value >= self._sieved:
@@ -330,14 +375,14 @@ def m_power(m: int) -> BaseSequence:
 
 def factorial() -> BaseSequence:
     """Weights 1, 2, 6, 24, ... (w_i = (i+1)!)."""
-    return BaseSequence("factorial", ("factorial",), _products(itertools.count(2)))
+    return _RadixSequence("factorial", ("factorial",), _products(itertools.count(2)))
 
 
 def power_of(p: int) -> BaseSequence:
     """Weights w_i = p^i for p >= 2; digit strings then read as ordinary base p."""
     if p < 2:
         raise InvalidParameter(f"power base needs p >= 2, got {p}")
-    return BaseSequence(f"power:{p}", ("power", p), _products(itertools.repeat(p)))
+    return _RadixSequence(f"power:{p}", ("power", p), _products(itertools.repeat(p)))
 
 
 def fibonacci() -> BaseSequence:
@@ -413,7 +458,7 @@ def make_mixed_radix(bounds: Sequence[int], cyclic: bool = False) -> BaseSequenc
         if t < 1:
             raise InvalidParameter(f"mixed-radix bound t_{i} must be >= 1, got {t}")
     radices = (t + 1 for t in (itertools.cycle(bounds) if cyclic else bounds))
-    return BaseSequence(
+    return _RadixSequence(
         _listed_name("mixed-radix", bounds) + (" cyclic" if cyclic else ""),
         ("mixed-radix", bounds, cyclic),
         _products(radices),

@@ -3,6 +3,15 @@
 A representation is canonical exactly when it is what the greedy algorithm
 produces: every prefix value (the sum of digits below a position, weighted)
 stays strictly below that position's weight.
+
+In a product base, w_{i+1} = r_i * w_i, the greedy digits are the
+remainders of successive division by r_0, r_1, ...  Encoding there divides
+by chunks of radices whose product fits one CPython limb, the
+single-precision radix conversion of Knuth (TAOCP vol. 2, 4.4): the
+interpreter divides a big integer by a one-limb divisor in one linear pass,
+so a chunk of several digits costs one pass, where dividing by the big
+weight w_i costs a long division per digit and one radix at a time a pass
+per digit.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .base_sequences import BaseSequence
+from .base_sequences import BaseSequence, _RadixSequence
 from .errors import IndexBeyondCapacity, InvalidParameter
 
 _DENSE_LIMIT = 10**7  # most positions a dense digit vector may have
@@ -132,6 +141,8 @@ def _greedy_entries(base: BaseSequence, value: int) -> list[tuple[int, int]]:
     _check_encodable(base, value)
     if not value:
         return []
+    if isinstance(base, _RadixSequence):
+        return _radix_entries(base, value)
     i, wi = base.superior_part(value)
     w = base._terms_upto(i)
     entries: list[tuple[int, int]] = []
@@ -150,15 +161,53 @@ def _greedy_entries(base: BaseSequence, value: int) -> list[tuple[int, int]]:
     return entries
 
 
+def _radix_entries(base: _RadixSequence, value: int) -> list[tuple[int, int]]:
+    """Greedy digits of value >= 1 in a product base: remainders of dividing by r_0, r_1, ..."""
+    cap = base.capacity
+    covered, w = base._chunked, base._cache
+    if covered < len(w) and value < w[covered]:  # the top position is one the table covers
+        top_term = False
+        chunks = base._chunks
+    else:
+        top = base.superior_part(value)[0]
+        top_term = cap is not None and top == cap - 1  # a finite base's top term has no radix
+        chunks = base._chunks_upto(top - 1 if top_term else top)
+    entries: list[tuple[int, int]] = []
+    q = value
+    pos = 0
+    for product, radices in chunks:
+        q, rest = divmod(q, product)  # one pass over q, unless one radix is a limb or more
+        i = pos
+        while rest:  # the chunk's digits above the highest nonzero one are zero
+            rest, d = divmod(rest, radices[i - pos])
+            if d:
+                entries.append((i, d))
+            i += 1
+        if not q:
+            break
+        pos += len(radices)
+    if top_term:  # what the radices leave is the top term's digit
+        entries.append((cap - 1, q))
+    return entries
+
+
 def encode_greedy(base: BaseSequence, value: int) -> Representation:
     """Greedy digits of a nonnegative integer.
 
     Repeatedly removes the largest weight not exceeding the rest; the digit
     at position i counts how often w_i was removed.  The result is the
-    unique canonical form of the value.  One superior part finds the top
-    position; below it the loop walks down the base's term table, bisecting
-    only the positions under the last one, so its work goes to the nonzero
-    digits alone.
+    unique canonical form of the value.
+
+    In a product base (factorial, power-p, mixed radix) the digits are the
+    remainders of dividing by r_0, r_1, ... in turn.  The loop divides by a
+    chunk of radices at a time, a product below one CPython limb, so each
+    pass over the big quotient is the interpreter's single-limb division,
+    and splits the small remainder with machine-size divisions.  A superior
+    part is taken only when the chunk table may not yet reach the top
+    position.  In every other base one superior part finds the top
+    position, and below it the loop walks down the base's term table,
+    bisecting only the positions under the last one, so its work goes to
+    the nonzero digits alone.
     """
     return Representation(base, tuple(_greedy_entries(base, value)))
 

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import tracemalloc
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqbase import base_sequences as bs
+from seqbase.codec import encode_greedy
 from seqbase.errors import (
     IndexBeyondCapacity,
     InvalidParameter,
@@ -303,6 +305,27 @@ class TestDigitBoundMemo:
         assert [bs.prime().digit_bound(i) for i in (78497, 0, 1, 2, 664578)] == [1] * 5
 
 
+class TestPrimeBounds:
+    def test_bounds_match_the_sieve(self):
+        oracle = [1] + sieve_primes(1_300_000)
+        base = bs.prime()
+        assert [base.digit_bound(i) for i in range(100_000)] == [
+            (oracle[i + 1] - 1) // oracle[i] for i in range(100_000)
+        ]
+
+    def test_bound_at_the_last_held_prime_sieves_nothing(self):
+        base = bs.prime()
+        base.superior_part(999_982)  # 999979 is the largest prime held: w_78497
+        sieved = base._sieved
+        held = len(base._cache)
+        assert base.term(held - 1) == 999_979
+        assert base.digit_bound(held - 1) == 1
+        assert base.digit_bound(bs._PRIME_COUNT - 1) == 1
+        with pytest.raises(IndexBeyondCapacity, match="100000000"):
+            base.digit_bound(bs._PRIME_COUNT)
+        assert base._sieved == sieved
+
+
 class TestPrimeSieveLimit:
     def test_beyond_limit_fails_fast(self):
         base = bs.prime()
@@ -488,6 +511,75 @@ class TestConcurrency:
         finally:
             sys.setswitchinterval(interval)
         assert not failures
+
+
+def successive_division(value, radix):
+    """Oracle: nonzero digits of value by dividing by radix(0), radix(1), ... in turn."""
+    out = []
+    i = 0
+    while value:
+        value, d = divmod(value, radix(i))
+        if d:
+            out.append((i, d))
+        i += 1
+    return out
+
+
+class TestChunkTable:
+    def test_encodes_under_concurrent_growth(self):
+        cases = [
+            (bs.factorial, lambda i: i + 2),
+            (lambda: bs.make_mixed_radix([2, 5, 11], cyclic=True), lambda i: (3, 6, 12)[i % 3]),
+        ]
+        failures = []
+
+        def encoder(base, radix, bits, step):
+            try:
+                while bits < 2_500:
+                    value = (1 << bits) + bits * 7919  # zero runs between a few nonzero digits
+                    if list(encode_greedy(base, value).entries) != successive_division(value, radix):
+                        failures.append(("encoder", bits))
+                    bits += step
+            except Exception as exc:  # pragma: no cover - failure path
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                for make, radix in cases:
+                    base = make()
+                    threads = [threading.Thread(target=encoder, args=(base, radix, k, 97 + 13 * k)) for k in range(10)]
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=60)
+                    assert not any(t.is_alive() for t in threads)
+                    covered = sum(len(radices) for _, radices in base._chunks)
+                    assert covered == base._chunked
+                    assert [r for _, radices in base._chunks for r in radices] == [radix(i) for i in range(covered)]
+                    assert all(product < 1 << sys.int_info.bits_per_digit for product, _ in base._chunks)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+
+    def test_encode_builds_no_term_past_the_top_position_plus_one(self):
+        value = 10**1999 + 123456789
+        top = 0
+        while math.factorial(top + 2) <= value:
+            top += 1
+        terms_bytes = sum(sys.getsizeof(math.factorial(i + 1)) for i in range(top + 2))
+        base = bs.factorial()
+        tracemalloc.start()
+        try:
+            rep = encode_greedy(base, value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.top == top
+        assert len(base._cache) == top + 2
+        assert base._chunked == top + 1
+        assert peak < 2 * terms_bytes
 
 
 class TestBaseFile:

@@ -1,4 +1,7 @@
 import itertools
+import math
+import random
+import sys
 from collections import Counter
 
 import pytest
@@ -257,6 +260,113 @@ class TestUniquenessOracle:
             forms = by_value.get(value, [])
             assert len(forms) == 1, f"value {value} has {len(forms)} canonical forms"
             assert trimmed(forms[0]) == encode_greedy(base, value).digits
+
+
+def successive_division(value, radix, top=None):
+    """Oracle: nonzero digits of value by dividing by radix(0), radix(1), ... in turn.
+
+    With a top position (a finite base's last term), what the radices below
+    it leave is the digit there.
+    """
+    out = []
+    i = 0
+    while value and i != top:
+        value, d = divmod(value, radix(i))
+        if d:
+            out.append((i, d))
+        i += 1
+    if value:
+        out.append((i, value))
+    return out
+
+
+def value_of(digits, radix):
+    """The value of little-endian digits under the weights w_{i+1} = radix(i) * w_i."""
+    value, w = 0, 1
+    for i, d in enumerate(digits):
+        value += d * w
+        w *= radix(i)
+    return value
+
+
+PRODUCT_BASES = [
+    pytest.param(bs.factorial, lambda i: i + 2, id="factorial"),
+    pytest.param(lambda: bs.power_of(7), lambda i: 7, id="power:7"),
+    pytest.param(lambda: bs.power_of(10), lambda i: 10, id="power:10"),
+]
+
+
+class TestProductBaseEncode:
+    """Product bases encode by division in chunks of radices; the oracle divides one radix at a time."""
+
+    @pytest.mark.parametrize("make, radix", PRODUCT_BASES)
+    def test_zero_runs_across_chunk_boundaries(self, make, radix):
+        # a power:10 chunk holds 9 radices, power:7 holds 10, factorial 11 at first and 3 near position 1000
+        base = make()
+        for run in (1, 2, 8, 9, 10, 11, 17, 18, 19, 30, 31, 61):
+            for offset in (0, 1, 5, 9, 10):
+                digits = [1] * offset + [0] * run + [radix(offset + run) - 1] + [0] * (2 * run) + [1]
+                value = value_of(digits, radix)
+                want = successive_division(value, radix)
+                assert want == [(i, d) for i, d in enumerate(digits) if d]
+                assert list(encode_greedy(base, value).entries) == want
+
+    @pytest.mark.parametrize("make, radix", PRODUCT_BASES)
+    def test_small_values_and_full_digit_strings(self, make, radix):
+        base = make()
+        for i in (1, 2, 3, 9, 10, 11, 12, 13, 40, 300, 1000):
+            w = value_of([0] * i + [1], radix)
+            for value in (0, 1, 2, w - 1, w, w + 1):
+                assert list(encode_greedy(base, value).entries) == successive_division(value, radix)
+        fresh = make()  # small values first, so the table grows a position at a time
+        for value in range(3000):
+            assert list(encode_greedy(fresh, value).entries) == successive_division(value, radix)
+
+    @pytest.mark.parametrize("make, radix", PRODUCT_BASES)
+    def test_random_values_against_successive_division(self, make, radix):
+        rng = random.Random(8)
+        base = make()
+        for bits in (5, 29, 30, 31, 61, 300, 3000, 12000, 1000):
+            value = rng.getrandbits(bits)
+            assert list(encode_greedy(base, value).entries) == successive_division(value, radix)
+
+    def test_radix_that_fills_a_chunk_alone(self):
+        base = bs.make_mixed_radix([2**40, 3], cyclic=True)
+        radix = lambda i: 2**40 + 1 if i % 2 == 0 else 4
+        rng = random.Random(10)
+        for value in [rng.getrandbits(bits) for bits in (3, 40, 41, 42, 43, 100, 1000)] + [4 * (2**40 + 1) - 1]:
+            assert list(encode_greedy(base, value).entries) == successive_division(value, radix)
+
+    def test_power_of_two_to_the_31(self):
+        p = 2**31
+        base = bs.power_of(p)
+        rng = random.Random(11)
+        for value in [0, 1, p - 1, p, p * p - 1, p**5] + [rng.getrandbits(bits) for bits in (31, 32, 62, 63, 2000)]:
+            assert list(encode_greedy(base, value).entries) == successive_division(value, lambda i: p)
+
+    def test_chunks_stay_below_one_limb(self):
+        limb = 1 << sys.int_info.bits_per_digit
+        for base in (bs.power_of(2), bs.power_of(2**15), bs.power_of(2**31), bs.factorial(),
+                     bs.make_mixed_radix([2**40, 3], cyclic=True)):
+            encode_greedy(base, 1 << 5000)
+            for product, radices in base._chunks:
+                assert product == math.prod(radices)
+                assert product < limb or len(radices) == 1
+            assert sum(len(radices) for _, radices in base._chunks) == base._chunked
+        assert bs.power_of(2)._chunks_upto(100)[0] == (2**29, (2,) * 29)
+
+    def test_finite_mixed_radix_every_value(self):
+        by_value, cap = enumerate_canonical_forms([1, 2, 6, 24, 120])
+        base = bs.make_mixed_radix([1, 2, 3, 4])
+        assert cap == base.max_encodable() == 239
+        for value in range(cap + 1):
+            want = successive_division(value, lambda i: i + 2, top=4)
+            assert [trimmed(form) for form in by_value[value]] == [encode_greedy(base, value).digits]
+            assert list(encode_greedy(base, value).entries) == want
+        with pytest.raises(IndexBeyondCapacity):
+            encode_greedy(base, 240)
+        top_first = bs.make_mixed_radix([1, 2, 3, 4])  # the top term first, on a fresh table
+        assert list(encode_greedy(top_first, 239).entries) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)]
 
 
 class TestResidueLaw:
