@@ -13,7 +13,6 @@ from .base_sequences import (
     load_base_file,
     lucas,
     m_power,
-    make_builtin,
     make_explicit,
     make_mixed_radix,
     parse_base_file,
@@ -46,7 +45,7 @@ from .errors import (
     SeqBaseError,
     Underflow,
 )
-from .mixed_radix_arith import ArithTrace, add, divrem, is_pure_mixed_radix, mul, sub
+from .mixed_radix_arith import ArithTrace, add, divrem, mul, sub
 
 __version__ = "0.1.0"
 
@@ -80,11 +79,9 @@ __all__ = [
     "factorial",
     "fibonacci",
     "is_canonical",
-    "is_pure_mixed_radix",
     "load_base_file",
     "lucas",
     "m_power",
-    "make_builtin",
     "make_explicit",
     "make_mixed_radix",
     "mul",

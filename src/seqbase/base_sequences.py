@@ -19,10 +19,12 @@ from how they grow:
   exponentially or are finite, so a cache that reaches v holds O(log v)
   terms.
 
-The product families (factorial, power-p, mixed radix) also keep a chunk
-table for the codec: their radices grouped so that each group's product
-fits one CPython limb, since their greedy digits are the remainders of
-successive division by r_0, r_1, ...
+The product families (factorial, power-p, mixed radix) are defined by
+their radices: multiplying out w_{i+1} records the digit bound
+t_i = r_i - 1 at the same time, so no bound is divided out of two terms.
+They also keep a chunk table for the codec: their radices grouped so that
+each group's product fits one CPython limb, since their greedy digits are
+the remainders of successive division by r_0, r_1, ...
 """
 
 from __future__ import annotations
@@ -81,11 +83,12 @@ def _odd_primes_below(n: int) -> Iterator[int]:
     return itertools.compress(range(1, n, 2), odd)
 
 
-def _products(radices: Iterable[int]) -> Iterator[int]:
-    """1, r_0, r_0*r_1, ...: the mixed-radix weights w_{i+1} = r_i * w_i."""
+def _products(radices: Iterable[int], bounds: list[int]) -> Iterator[int]:
+    """1, r_0, r_0*r_1, ...: the weights w_{i+1} = r_i * w_i, appending t_i = r_i - 1 to bounds before w_{i+1}."""
     w = 1
     yield w
     for r in radices:
+        bounds.append(r - 1)
         w *= r
         yield w
 
@@ -100,20 +103,21 @@ def _sums(a: int, b: int) -> Iterator[int]:
 class BaseSequence:
     """A weight sequence, safe to share across concurrent readers.
 
-    `term(i)` answers from the term cache when it holds w_i; past the cache
-    it asks `_term_past_cache(i)`, and `superior_part(v)` asks `_index_le(v)`.
-    `_terms_upto(i)` hands the codec's loops one table whose items 0..i are
-    w_0..w_i, so they index it instead of calling `term` per position.
-    `digit_bound(i)` answers from an append-only bound memo, filled lazily
-    under the lock up to the position asked for; past the memo it asks
-    `_bound_past_memo(i)`.
+    A family supplies three hooks.  `_terms_upto(i)` grows the terms and
+    returns one table whose items 0..i are w_0..w_i; `term(i)` indexes it,
+    and the codec's loops index it instead of calling `term` per position.
+    `superior_part(v)` asks `_index_le(v)`.  `digit_bound(i)` answers from
+    an append-only bound memo; past the memo it asks `_bound_past_memo(i)`.
 
     This class is the memoized family: its hooks pull terms one at a time
-    from a generator into an append-only list, which is also its term
-    table, so once term(i) or a bound has been handed out every later call
-    returns the identical value.  The closed-form and sieved families
-    override the hooks; they keep no bound memo, since their positions
-    reach far past what a contiguous memo could hold.
+    from a generator into an append-only list under the lock, and that list
+    is its term table, so once term(i) or a bound has been handed out every
+    later call returns the identical value.  Its bounds are divided out of
+    the terms, floor((w_{i+1} - 1) / w_i), and memoized lazily under the
+    lock up to the position asked for.  A product family records its bounds
+    from its radices instead (`_RadixSequence`).  The closed-form and sieved
+    families override the hooks; they keep no bound memo, since their
+    positions reach far past what a contiguous memo could hold.
     """
 
     def __init__(
@@ -145,10 +149,7 @@ class BaseSequence:
         """The weight w_i."""
         if i < 0:
             raise InvalidParameter(f"term index must be >= 0, got {i}")
-        cache = self._cache
-        if i < len(cache):
-            return cache[i]
-        return self._term_past_cache(i)
+        return self._terms_upto(i)[i]
 
     def digit_bound(self, i: int) -> int:
         """Largest digit allowed at position i: floor((w_{i+1} - 1) / w_i)."""
@@ -186,75 +187,84 @@ class BaseSequence:
             self._max_encodable = total
         return self._max_encodable
 
-    def _term_past_cache(self, i: int) -> int:
-        if self.capacity is not None and i >= self.capacity:
-            raise IndexBeyondCapacity(
-                f"base {self.name} has only {self.capacity} terms; no term {i}"
-            )
-        cache = self._cache
-        with self._lock:
-            while len(cache) <= i:
-                cache.append(next(self._weights))
-        return cache[i]
-
     def _terms_upto(self, i: int) -> Sequence[int]:
         """A table whose items 0..i are w_0..w_i."""
-        if i >= len(self._cache):
-            self._term_past_cache(i)
-        return self._cache
+        cache = self._cache
+        if i >= len(cache):
+            if self.capacity is not None and i >= self.capacity:
+                raise IndexBeyondCapacity(
+                    f"base {self.name} has only {self.capacity} terms; no term {i}"
+                )
+            with self._lock:
+                while len(cache) <= i:
+                    cache.append(next(self._weights))
+        return cache
 
     def _bound_past_memo(self, i: int) -> int:
         w = self._terms_upto(i + 1)
         bounds = self._bounds
         with self._lock:
-            for j in range(len(bounds), i + 1):
+            for j in range(len(bounds), i + 1):  # none in a product family: its terms brought their bounds
                 bounds.append((w[j + 1] - 1) // w[j])
         return bounds[i]
 
     def _index_le(self, value: int) -> tuple[int, int]:
         cache, cap = self._cache, self.capacity
-        while (not cache or cache[-1] <= value) and (cap is None or len(cache) < cap):
-            self._term_past_cache(len(cache))
+        with self._lock:  # one hold for every term the value needs
+            while (not cache or cache[-1] <= value) and (cap is None or len(cache) < cap):
+                cache.append(next(self._weights))
         idx = bisect_right(cache, value) - 1
         return idx, cache[idx]
 
 
 class _RadixSequence(BaseSequence):
-    """A memoized product family, w_{i+1} = r_i * w_i with r_i = digit_bound(i) + 1.
+    """A memoized product family built from its radices: w_{i+1} = r_i * w_i and t_i = r_i - 1.
 
-    Its chunk table is a list of (R, radices) tuples: consecutive radices,
-    from position 0 up, with R their product.  A chunk takes radices while R
-    stays below one CPython limb; a radix that is a limb or more by itself
-    fills a chunk alone.  Like the bound memo, the table is filled lazily
-    under the lock only as far as the position asked for, and read without
-    the lock.  It only grows: the next radix joins the last chunk in place
-    while their product stays below a limb, and otherwise starts a new
-    chunk.  Chunks before the last never change, and each version of the
-    last covers all the positions the one before it did, so a reader that
-    has asked for position i reads a table covering i whenever it looks.
+    Growing the terms under the lock records each t_i in the bound memo as
+    w_{i+1} is multiplied out.  The chunk table is a list of (R, radices)
+    tuples: consecutive radices, from position 0 up, with R their product.
+    A chunk takes radices while R stays below one CPython limb; a radix
+    that is a limb or more by itself fills a chunk alone.  `_chunks_for`
+    fills the table lazily under the lock, as far as the value asked for,
+    and the table is read without the lock.  It only grows: the next radix
+    joins the last chunk in place while their product stays below a limb,
+    and otherwise starts a new chunk.  Chunks before the last never change,
+    and each version of the last covers all the positions the one before
+    it did, so a reader handed the table for v reads one covering v's
+    positions whenever it looks.
     """
 
-    def __init__(self, name: str, signature: tuple, weights: Iterable[int], capacity: int | None = None):
-        super().__init__(name, signature, weights, capacity)
+    def __init__(self, name: str, signature: tuple, radices: Iterable[int], capacity: int | None = None):
+        super().__init__(name, signature, capacity=capacity)
+        self._weights = _products(radices, self._bounds)  # the bound list, not self: no reference cycle
         self._chunks: list[tuple[int, tuple[int, ...]]] = []
         self._chunked = 0  # the chunk table covers positions 0 .. _chunked - 1
 
-    def _chunks_upto(self, i: int) -> Sequence[tuple[int, tuple[int, ...]]]:
-        """A chunk table whose radices cover positions 0..i (i below a finite base's top position)."""
-        if i >= self._chunked:
-            self.digit_bound(i)  # fills the bound memo up to i; it takes the lock itself
+    def _chunks_for(self, value: int) -> tuple[Sequence[tuple[int, tuple[int, ...]]], int | None]:
+        """A chunk table covering value's greedy positions (value >= 1), and a finite base's top position or None.
+
+        The top position comes back when value reaches that base's top
+        term, which has no radix: the table stops below it.
+        """
+        covered, w = self._chunked, self._cache
+        if covered < len(w) and value < w[covered]:  # the top position is one the table covers
+            return self._chunks, None
+        top = self.superior_part(value)[0]  # grows the terms, and with them the bounds, past top
+        top_term = top if top + 1 == self.capacity else None
+        upto = top if top_term is None else top - 1
+        if upto >= self._chunked:
             bounds = self._bounds
             with self._lock:
                 chunks = self._chunks
-                for j in range(self._chunked, i + 1):
+                for j in range(self._chunked, upto + 1):
                     r = bounds[j] + 1
                     if chunks and chunks[-1][0] * r < _LIMB:  # the last chunk still has room
                         product, radices = chunks[-1]
                         chunks[-1] = (product * r, radices + (r,))
                     else:
                         chunks.append((r, (r,)))
-                self._chunked = max(self._chunked, i + 1)
-        return self._chunks
+                self._chunked = max(self._chunked, upto + 1)
+        return self._chunks, top_term
 
 
 class _Powers:
@@ -279,9 +289,6 @@ class _PowerSequence(BaseSequence):
         super().__init__(name, signature)
         self._m = m
         self._table = _Powers(m)
-
-    def _term_past_cache(self, i: int) -> int:
-        return self._table[i]
 
     def _terms_upto(self, i: int) -> Sequence[int]:
         return self._table
@@ -308,13 +315,14 @@ class _PrimeSequence(BaseSequence):
         self._cache = array("q")
         self._sieved = 0  # every prime below this is in the cache
 
-    def _term_past_cache(self, i: int) -> int:
-        if i > _PRIME_COUNT:
-            raise self._beyond_limit("a term this far out")
-        # p_i < i (ln i + ln ln i) for i >= 6 (Rosser)
-        bound = 13 if i < 6 else int(i * (math.log(i) + math.log(math.log(i))))
-        self._sieve_to(min(bound, _PRIME_SIEVE_LIMIT))
-        return self._cache[i]
+    def _terms_upto(self, i: int) -> Sequence[int]:
+        if i >= len(self._cache):
+            if i > _PRIME_COUNT:
+                raise self._beyond_limit("a term this far out")
+            # p_i < i (ln i + ln ln i) for i >= 6 (Rosser)
+            bound = 13 if i < 6 else int(i * (math.log(i) + math.log(math.log(i))))
+            self._sieve_to(min(bound, _PRIME_SIEVE_LIMIT))
+        return self._cache
 
     def _bound_past_memo(self, i: int) -> int:
         # p_{i+1} < 2 p_i (Bertrand), so every bound is 1 and no sieving is needed
@@ -375,14 +383,14 @@ def m_power(m: int) -> BaseSequence:
 
 def factorial() -> BaseSequence:
     """Weights 1, 2, 6, 24, ... (w_i = (i+1)!)."""
-    return _RadixSequence("factorial", ("factorial",), _products(itertools.count(2)))
+    return _RadixSequence("factorial", ("factorial",), itertools.count(2))
 
 
 def power_of(p: int) -> BaseSequence:
     """Weights w_i = p^i for p >= 2; digit strings then read as ordinary base p."""
     if p < 2:
         raise InvalidParameter(f"power base needs p >= 2, got {p}")
-    return _RadixSequence(f"power:{p}", ("power", p), _products(itertools.repeat(p)))
+    return _RadixSequence(_name("power", p, ":"), ("power", p), itertools.repeat(p))
 
 
 def fibonacci() -> BaseSequence:
@@ -419,9 +427,10 @@ def make_builtin(kind: str, **params) -> BaseSequence:
     return factory(*(params[k] for k in wanted))
 
 
-def _listed_name(kind: str, numbers: Sequence[int]) -> str:
+def _name(kind: str, param: object, sep: str = "") -> str:
+    """A base name spelling out param; a number too long to print raises InvalidParameter."""
     try:
-        return f"{kind}{list(numbers)}"
+        return f"{kind}{sep}{param}"
     except ValueError:  # the interpreter's int/str conversion limit
         raise InvalidParameter(f"{kind} base: a number has too many decimal digits to name") from None
 
@@ -437,7 +446,7 @@ def make_explicit(terms: Sequence[int]) -> BaseSequence:
         if b <= a:
             raise NotStrictlyIncreasing(f"terms must strictly increase: {a} then {b}")
     return BaseSequence(
-        _listed_name("explicit", terms),
+        _name("explicit", terms),
         ("explicit", tuple(terms)),
         terms,
         capacity=len(terms),
@@ -459,9 +468,9 @@ def make_mixed_radix(bounds: Sequence[int], cyclic: bool = False) -> BaseSequenc
             raise InvalidParameter(f"mixed-radix bound t_{i} must be >= 1, got {t}")
     radices = (t + 1 for t in (itertools.cycle(bounds) if cyclic else bounds))
     return _RadixSequence(
-        _listed_name("mixed-radix", bounds) + (" cyclic" if cyclic else ""),
+        _name("mixed-radix", list(bounds)) + (" cyclic" if cyclic else ""),
         ("mixed-radix", bounds, cyclic),
-        _products(radices),
+        radices,
         capacity=None if cyclic else len(bounds) + 1,
     )
 

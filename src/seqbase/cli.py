@@ -31,15 +31,13 @@ def resolve_base(spec: str) -> base_sequences.BaseSequence:
         return base_sequences.load_base_file(spec[len("file:"):])
     name, _, arg = spec.partition(":")
     try:
-        _, params = base_sequences._BUILTINS[name]
+        factory, params = base_sequences._BUILTINS[name]
     except KeyError:
         raise InvalidParameter(f"unknown base spec {spec!r}") from None
     values = [arg] if arg else []
     if len(values) != len(params):
         raise InvalidParameter(f"base {name!r} takes parameters {list(params)}, got {spec!r}")
-    return base_sequences.make_builtin(
-        name, **{p: _natural(v, f"{name} parameter {p}") for p, v in zip(params, values)}
-    )
+    return factory(*(_natural(v, f"{name} parameter {p}") for p, v in zip(params, values)))
 
 
 def _natural(s: str, what: str) -> int:

@@ -163,15 +163,7 @@ def _greedy_entries(base: BaseSequence, value: int) -> list[tuple[int, int]]:
 
 def _radix_entries(base: _RadixSequence, value: int) -> list[tuple[int, int]]:
     """Greedy digits of value >= 1 in a product base: remainders of dividing by r_0, r_1, ..."""
-    cap = base.capacity
-    covered, w = base._chunked, base._cache
-    if covered < len(w) and value < w[covered]:  # the top position is one the table covers
-        top_term = False
-        chunks = base._chunks
-    else:
-        top = base.superior_part(value)[0]
-        top_term = cap is not None and top == cap - 1  # a finite base's top term has no radix
-        chunks = base._chunks_upto(top - 1 if top_term else top)
+    chunks, top_term = base._chunks_for(value)
     entries: list[tuple[int, int]] = []
     q = value
     pos = 0
@@ -186,8 +178,8 @@ def _radix_entries(base: _RadixSequence, value: int) -> list[tuple[int, int]]:
         if not q:
             break
         pos += len(radices)
-    if top_term:  # what the radices leave is the top term's digit
-        entries.append((cap - 1, q))
+    if top_term is not None:  # what the radices leave is the top term's digit
+        entries.append((top_term, q))
     return entries
 
 
@@ -226,8 +218,7 @@ def decode(rep: Representation) -> int:
 
 def digits_value(base: BaseSequence, digits: Iterable[int]) -> int:
     """Value of a raw little-endian digit vector (no bound or canonicity checks)."""
-    term = base.term
-    return sum(d * term(i) for i, d in enumerate(digits) if d)
+    return decode(Representation.from_digits(base, digits))
 
 
 def _canonical_value(base: BaseSequence, entries) -> int | None:

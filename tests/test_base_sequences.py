@@ -1,14 +1,16 @@
+import gc
 import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqbase import base_sequences as bs
-from seqbase.codec import encode_greedy
+from seqbase.codec import decode, encode_greedy
 from seqbase.errors import (
     IndexBeyondCapacity,
     InvalidParameter,
@@ -95,6 +97,13 @@ class TestBuiltinFamilies:
         assert bs.make_builtin("mpower", m=3).term(1) == 8
         assert bs.make_builtin("power", p=2).term(3) == 8
         assert bs.make_builtin("prime").term(4) == 7
+
+    def test_power_beyond_int_str_limit_rejected(self):
+        # the name spells p in decimal, which the interpreter caps at 4300 digits
+        with pytest.raises(InvalidParameter):
+            bs.power_of(10**5000)
+        with pytest.raises(InvalidParameter):
+            bs.make_builtin("power", p=10**5000)
 
 
 class TestExplicit:
@@ -297,6 +306,15 @@ class TestDigitBoundMemo:
             with pytest.raises(IndexBeyondCapacity):
                 base.digit_bound(base.capacity - 1)
             assert [base.term(i) for i in range(len(terms))] == terms
+
+    def test_product_bounds_come_with_their_terms(self):
+        ten = bs.power_of(10)
+        assert ten.digit_bound(2000) == 9
+        assert len(ten._cache) == 2002
+        assert ten._bounds == [9] * 2001
+        fact = bs.factorial()
+        assert fact.term(50) == math.factorial(51)
+        assert fact._bounds == [i + 1 for i in range(50)]
 
     def test_closed_form_and_sieved_bounds(self):
         # squares: floor(((i+2)^2 - 1) / (i+1)^2) is 3 at 0, 2 at 1, then 1; primes: 1 everywhere (Bertrand)
@@ -555,10 +573,11 @@ class TestChunkTable:
                     for t in threads:
                         t.join(timeout=60)
                     assert not any(t.is_alive() for t in threads)
-                    covered = sum(len(radices) for _, radices in base._chunks)
-                    assert covered == base._chunked
-                    assert [r for _, radices in base._chunks for r in radices] == [radix(i) for i in range(covered)]
-                    assert all(product < 1 << sys.int_info.bits_per_digit for product, _ in base._chunks)
+                    chunks, _ = base._chunks_for(1)  # the table as the encoders left it
+                    covered = sum(len(radices) for _, radices in chunks)
+                    assert covered == len(base._bounds)
+                    assert [r for _, radices in chunks for r in radices] == [radix(i) for i in range(covered)]
+                    assert all(product < 1 << sys.int_info.bits_per_digit for product, _ in chunks)
         finally:
             sys.setswitchinterval(interval)
         assert not failures
@@ -578,7 +597,9 @@ class TestChunkTable:
             tracemalloc.stop()
         assert rep.top == top
         assert len(base._cache) == top + 2
-        assert base._chunked == top + 1
+        chunks, top_term = base._chunks_for(value)
+        assert top_term is None
+        assert sum(len(radices) for _, radices in chunks) == len(base._bounds) == top + 1
         assert peak < 2 * terms_bytes
 
 
@@ -619,3 +640,36 @@ class TestBaseFile:
     def test_line_beyond_int_str_limit_rejected(self):
         with pytest.raises(InvalidParameter):
             bs.parse_base_file("format=bounds\n" + "9" * 4400)
+
+
+class TestReleasedWithoutTheCycleCollector:
+    """A dropped base is freed by reference counting alone: nothing it holds refers back to it."""
+
+    @pytest.mark.parametrize(
+        "make, value",
+        [
+            pytest.param(bs.prime, 10**6 - 1, id="prime"),
+            pytest.param(bs.square, 10**2000 + 1, id="square"),
+            pytest.param(bs.factorial, 10**2000 + 1, id="factorial"),
+            pytest.param(lambda: bs.power_of(10), 10**2000 + 1, id="power:10"),
+            pytest.param(bs.fibonacci, 10**2000 + 1, id="fibonacci"),
+            pytest.param(lambda: bs.make_mixed_radix([9, 5, 11, 1, 6], cyclic=True), 10**2000 + 1, id="cyclic-mixed-radix"),
+            pytest.param(lambda: bs.make_mixed_radix([9] * 2001), 10**2001 + 10**2000, id="finite-mixed-radix"),
+        ],
+    )
+    def test_dropped_base_is_freed(self, make, value):
+        def grow(base):
+            rep = encode_greedy(base, value)
+            assert decode(rep) == value
+            assert base.digit_bound(rep.top - 1) >= 1
+            assert base.term(rep.top) <= value
+
+        gc.disable()
+        try:
+            base = make()
+            grow(base)
+            ref = weakref.ref(base)
+            del base
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -94,6 +94,10 @@ class TestEncodeDecode:
         # the oracle path accepts any digit vector
         assert digits_value(prime_base, [5, 7]) == 5 + 14
 
+    def test_digits_value_rejects_a_negative_digit(self, factorial_base):
+        with pytest.raises(InvalidParameter):
+            digits_value(factorial_base, [1, -1])
+
     def test_negative_rejected(self, prime_base):
         with pytest.raises(InvalidParameter):
             encode_greedy(prime_base, -1)
@@ -349,11 +353,12 @@ class TestProductBaseEncode:
         for base in (bs.power_of(2), bs.power_of(2**15), bs.power_of(2**31), bs.factorial(),
                      bs.make_mixed_radix([2**40, 3], cyclic=True)):
             encode_greedy(base, 1 << 5000)
-            for product, radices in base._chunks:
+            chunks, _ = base._chunks_for(1 << 5000)
+            for product, radices in chunks:
                 assert product == math.prod(radices)
                 assert product < limb or len(radices) == 1
-            assert sum(len(radices) for _, radices in base._chunks) == base._chunked
-        assert bs.power_of(2)._chunks_upto(100)[0] == (2**29, (2,) * 29)
+            assert sum(len(radices) for _, radices in chunks) == len(base._bounds)
+        assert bs.power_of(2)._chunks_for(1 << 100)[0][0] == (2**29, (2,) * 29)
 
     def test_finite_mixed_radix_every_value(self):
         by_value, cap = enumerate_canonical_forms([1, 2, 6, 24, 120])
