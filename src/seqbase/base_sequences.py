@@ -9,8 +9,11 @@ from how they grow:
 - square and m-power weights have a closed form, (i + 1)^m, and the index
   of the largest one <= v is an integer m-th root, so these bases keep no
   terms at all;
-- prime weights come from a sieve of Eratosthenes that at least doubles
-  each time it grows, up to 10^8 and no further;
+- prime weights come from a sieve of Eratosthenes over the odd numbers
+  that at least doubles each time it grows, up to 10^8 and no further; a
+  directory of prime counts per block of the sieve gives the index of a
+  prime (rank, Jacobson 1989), so a superior part builds no term, and
+  terms are extracted into a table only as far as they are read;
 - every other family is memoized as its weights are produced, and these
   come from two recurrences: products w_{i+1} = r_i * w_i (factorial with
   r_i = i + 2, power-p with r_i = p, mixed radix with r_i = t_i + 1) and
@@ -34,7 +37,7 @@ import math
 import sys
 import threading
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -45,10 +48,13 @@ from .errors import (
 )
 
 # The prime sieve covers 0 .. _PRIME_SIEVE_LIMIT and no more.  At the limit
-# it holds 50 MB of sieve (a byte per odd number) and 46 MB of terms.
+# it holds 50 MB of sieve (a byte per odd number) and a 1.6 MB directory;
+# the term table holds only the primes read, 8 bytes each (46 MB for all).
 _PRIME_SIEVE_LIMIT = 10**8
 # pi(10^8): the primes up to the limit, so w_i exists for i <= this count
 _PRIME_COUNT = 5_761_455
+# Sieve bytes per directory block: an index counts at most this many bytes
+_PRIME_BLOCK = 256
 
 # A chunk's radix product stays below this, so dividing by it is one-limb division
 _LIMB = 1 << sys.int_info.bits_per_digit
@@ -71,8 +77,8 @@ def _iroot(v: int, m: int) -> int:
         x = y
 
 
-def _odd_primes_below(n: int) -> Iterator[int]:
-    """The odd primes below n (n >= 2), sieved over the odd numbers only."""
+def _odd_sieve(n: int) -> bytearray:
+    """odd[k] = 1 when 2k + 1 is prime, for the odd numbers below n (n >= 2)."""
     odd = bytearray([1]) * (n // 2)  # odd[k] stands for 2k + 1
     odd[0] = 0  # 1 is not prime
     for k in range(1, (math.isqrt(n - 1) + 1) // 2):
@@ -80,7 +86,13 @@ def _odd_primes_below(n: int) -> Iterator[int]:
             p = 2 * k + 1
             first = p * p // 2
             odd[first::p] = bytes(len(range(first, len(odd), p)))
-    return itertools.compress(range(1, n, 2), odd)
+    return odd
+
+
+def _directory(odd: bytearray) -> array:
+    """counts[b] = the number of odd primes in odd[:b * _PRIME_BLOCK], the last entry counting them all."""
+    edges = range(0, len(odd) + _PRIME_BLOCK, _PRIME_BLOCK)
+    return array("q", itertools.accumulate(map(odd.count, itertools.repeat(1), edges, edges[1:]), initial=0))
 
 
 def _products(radices: Iterable[int], bounds: list[int]) -> Iterator[int]:
@@ -108,6 +120,8 @@ class BaseSequence:
     and the codec's loops index it instead of calling `term` per position.
     `superior_part(v)` asks `_index_le(v)`.  `digit_bound(i)` answers from
     an append-only bound memo; past the memo it asks `_bound_past_memo(i)`.
+    `_cache` is the table of the terms held now, perhaps none, which the
+    codec's greedy walk reads without growing it.
 
     This class is the memoized family: its hooks pull terms one at a time
     from a generator into an append-only list under the lock, and that list
@@ -303,26 +317,48 @@ class _PowerSequence(BaseSequence):
 
 
 class _PrimeSequence(BaseSequence):
-    """1 and then the primes, from a sieve that at least doubles whenever it grows.
+    """1 and then the primes, read from an odd-only sieve that at least doubles whenever it grows.
 
-    A grown sieve's terms go into a new array that replaces the cache in one
-    assignment, so a concurrent reader sees either the old array or the new
-    one, each a complete prefix of the sequence.
+    The sieve is a bytearray, odd[k] = 1 when 2k + 1 is prime, kept with
+    its directory (`_directory`).  A superior part of a value past the held
+    terms finds the last prime <= v in the sieve, and its index from the
+    directory plus one count inside its block, so it builds no term.  The
+    term table `_cache` starts with the primes of the first block, which
+    hold every greedy tail (no prime gap below 10^8 exceeds 220), and is
+    extended from the sieve only when a term past it is read: to the end
+    of that term's block, and to at least twice its length, so that
+    reading the terms in ascending order copies each one O(1) times.
+
+    A grown sieve and its directory replace the old pair in one assignment,
+    and an extended term table replaces the old one in another, so a
+    concurrent reader sees an old or a new value, each complete.
     """
 
     def __init__(self):
         super().__init__("prime", ("prime",))
-        self._cache = array("q")
-        self._sieved = 0  # every prime below this is in the cache
+        odd = _odd_sieve(2 * _PRIME_BLOCK)
+        self._sieve = odd, _directory(odd)
+        self._cache = array("q", (1, 2, *itertools.compress(range(3, 2 * _PRIME_BLOCK, 2), odd[1:])))
 
     def _terms_upto(self, i: int) -> Sequence[int]:
-        if i >= len(self._cache):
-            if i > _PRIME_COUNT:
-                raise self._beyond_limit("a term this far out")
+        terms = self._cache
+        if i < len(terms):
+            return terms
+        if i > _PRIME_COUNT:
+            raise self._beyond_limit("a term this far out")
+        odd, counts = self._sieve
+        if counts[-1] < i - 1:  # w_i is the (i - 1)-th odd prime, past the sieve
             # p_i < i (ln i + ln ln i) for i >= 6 (Rosser)
-            bound = 13 if i < 6 else int(i * (math.log(i) + math.log(math.log(i))))
-            self._sieve_to(min(bound, _PRIME_SIEVE_LIMIT))
-        return self._cache
+            odd, counts = self._sieve_to(min(int(i * (math.log(i) + math.log(math.log(i)))), _PRIME_SIEVE_LIMIT))
+        with self._lock:
+            terms = self._cache
+            if i >= len(terms):
+                # to the end of the block that holds w_i, and at least doubled: O(n) copying in all
+                end = min(bisect_left(counts, max(i - 1, 2 * len(terms))) * _PRIME_BLOCK, len(odd))
+                start = (terms[-1] + 1) // 2  # the odd number after the last held term
+                terms = terms + array("q", itertools.compress(range(2 * start + 1, 2 * end, 2), odd[start:end]))
+                self._cache = terms
+        return terms
 
     def _bound_past_memo(self, i: int) -> int:
         # p_{i+1} < 2 p_i (Bertrand), so every bound is 1 and no sieving is needed
@@ -331,24 +367,29 @@ class _PrimeSequence(BaseSequence):
         return 1
 
     def _index_le(self, value: int) -> tuple[int, int]:
-        if value >= self._sieved:
+        terms = self._cache
+        if value < terms[-1]:  # the held terms reach past value
+            idx = bisect_right(terms, value) - 1
+            return idx, terms[idx]
+        odd, counts = self._sieve
+        k = (value - 1) // 2  # 2k + 1 is the largest odd number <= value
+        if k >= len(odd):
             if value > _PRIME_SIEVE_LIMIT:
                 raise self._beyond_limit("the superior part of a larger value")
-            self._sieve_to(value)
-        cache = self._cache
-        idx = bisect_right(cache, value) - 1
-        return idx, cache[idx]
+            odd, counts = self._sieve_to(value)
+        k = odd.rfind(1, 0, k + 1)
+        block = k // _PRIME_BLOCK
+        return 1 + counts[block] + odd.count(1, block * _PRIME_BLOCK, k + 1), 2 * k + 1
 
-    def _sieve_to(self, n: int) -> None:
-        """Bring every prime <= n (n <= the sieve limit) into the cache."""
+    def _sieve_to(self, n: int) -> tuple[bytearray, array]:
+        """The sieve and directory, grown if they do not cover n (n <= the sieve limit)."""
         with self._lock:
-            if n < self._sieved:
-                return
-            below = min(max(n + 1, 2 * self._sieved), _PRIME_SIEVE_LIMIT + 1)
-            cache = array("q", (1, 2))
-            cache.extend(_odd_primes_below(below))
-            self._cache = cache
-            self._sieved = below
+            odd, counts = self._sieve
+            if (n - 1) // 2 >= len(odd):  # grow to n, and to at least twice the numbers covered
+                odd = _odd_sieve(min(max(n + 1, 4 * len(odd)), _PRIME_SIEVE_LIMIT + 1))
+                counts = _directory(odd)
+                self._sieve = odd, counts
+            return odd, counts
 
     @staticmethod
     def _beyond_limit(what: str) -> IndexBeyondCapacity:
@@ -360,7 +401,10 @@ class _PrimeSequence(BaseSequence):
 def prime() -> BaseSequence:
     """Weights 1, 2, 3, 5, 7, ... (w_i is the i-th prime for i >= 1).
 
-    The terms come from a sieve that stops at 10^8.  A term past the
+    The terms come from a sieve that stops at 10^8.  A superior part
+    counts the primes up to the value in the sieve and builds no term;
+    term(i) extracts the terms from the sieve as far as the block that
+    holds w_i, at least doubling the table it extends.  A term past the
     primes up to 10^8, or the superior part of a value above 10^8, raises
     IndexBeyondCapacity instead of sieving further.
     """

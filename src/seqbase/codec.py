@@ -16,7 +16,6 @@ per digit.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -144,7 +143,8 @@ def _greedy_entries(base: BaseSequence, value: int) -> list[tuple[int, int]]:
     if isinstance(base, _RadixSequence):
         return _radix_entries(base, value)
     i, wi = base.superior_part(value)
-    w = base._terms_upto(i)
+    w = base._cache  # the terms the base holds now, perhaps none
+    reach = w[-1] if w else 0
     entries: list[tuple[int, int]] = []
     rest = value
     while True:
@@ -152,10 +152,10 @@ def _greedy_entries(base: BaseSequence, value: int) -> list[tuple[int, int]]:
         entries.append((i, d))
         if not rest:
             break
-        if i <= sys.maxsize:  # rest < w_i, so the next position is lower
-            i = bisect_right(w, rest, 0, i) - 1
+        if rest < reach:  # the held terms reach past rest
+            i = bisect_right(w, rest) - 1
             wi = w[i]
-        else:  # a closed-form base's position past what bisect can index
+        else:
             i, wi = base.superior_part(rest)
     entries.reverse()
     return entries
@@ -197,9 +197,12 @@ def encode_greedy(base: BaseSequence, value: int) -> Representation:
     and splits the small remainder with machine-size divisions.  A superior
     part is taken only when the chunk table may not yet reach the top
     position.  In every other base one superior part finds the top
-    position, and below it the loop walks down the base's term table,
-    bisecting only the positions under the last one, so its work goes to
-    the nonzero digits alone.
+    position.  Below it, where the terms the base already holds reach past
+    the rest, the loop bisects them; elsewhere it takes the superior part
+    of the rest.  A closed-form base holds no term and takes a root per
+    digit; a prime base holds the small primes every greedy tail ends in
+    and the terms read so far, so neither builds a term to encode.  The
+    work goes to the nonzero digits alone.
     """
     return Representation(base, tuple(_greedy_entries(base, value)))
 

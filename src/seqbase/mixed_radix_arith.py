@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .base_sequences import BaseSequence
+from .base_sequences import BaseSequence, _RadixSequence
 from .codec import Representation, _canonical_value, encode_greedy
 from .errors import (
     DivisionByZero,
@@ -43,10 +43,14 @@ class ArithTrace:
 def is_pure_mixed_radix(base: BaseSequence, upto: int) -> bool:
     """True when w_{i+1} = (digit_bound(i) + 1) * w_i for every i < upto.
 
-    A finite base with no weight w_upto is not pure that far.
+    A finite base with no weight w_upto is not pure that far.  A product
+    base (factorial, power-p, mixed radix) is pure by construction, so it
+    answers without reading a term; any other base is checked term by term.
     """
     if upto < 1:
         raise InvalidParameter(f"upto must be >= 1, got {upto}")
+    if isinstance(base, _RadixSequence):
+        return base.capacity is None or upto < base.capacity
     try:
         return all(base.term(i + 1) == (base.digit_bound(i) + 1) * base.term(i) for i in range(upto))
     except IndexBeyondCapacity:

@@ -333,15 +333,43 @@ class TestPrimeBounds:
 
     def test_bound_at_the_last_held_prime_sieves_nothing(self):
         base = bs.prime()
-        base.superior_part(999_982)  # 999979 is the largest prime held: w_78497
-        sieved = base._sieved
-        held = len(base._cache)
+        held = base.superior_part(999_982)[0] + 1  # 999979 is the largest prime held: w_78497
         assert base.term(held - 1) == 999_979
-        assert base.digit_bound(held - 1) == 1
-        assert base.digit_bound(bs._PRIME_COUNT - 1) == 1
-        with pytest.raises(IndexBeyondCapacity, match="100000000"):
-            base.digit_bound(bs._PRIME_COUNT)
-        assert base._sieved == sieved
+        tracemalloc.start()
+        try:
+            assert base.digit_bound(held - 1) == 1
+            assert base.digit_bound(5_761_455 - 1) == 1  # pi(10^8) = 5761455
+            with pytest.raises(IndexBeyondCapacity, match="100000000"):
+                base.digit_bound(5_761_455)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16  # sieving past 10^6 would take at least 0.5 MB
+
+    def test_superior_part_builds_no_term_table(self):
+        base = bs.prime()
+        tracemalloc.start()
+        try:
+            assert base.superior_part(999_982) == (78_497, 999_979)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 500 KB sieve and its largest strike (167 KB) fit; an array of
+        # the 78498 terms would add 628 KB
+        assert peak < 10**6
+        assert base.term(78_497) == 999_979
+
+    def test_ascending_terms_copy_the_table_a_bounded_number_of_times(self):
+        # a table extended block by block would be copied once per 256-byte
+        # block, ~19000 times on the way to pi(10^7), quadratic in all
+        base = bs.prime()
+        tables, swaps = base._cache, 0
+        for i in range(1, 664_580, 7):  # a step below the primes per block: every block is read
+            base.term(i)
+            if base._cache is not tables:
+                tables, swaps = base._cache, swaps + 1
+        assert base.term(664_579) == 9_999_991  # pi(10^7) = 664579
+        assert swaps <= 20  # doubling from 97 terms reaches 664579 in 13
 
 
 class TestPrimeSieveLimit:
@@ -481,6 +509,47 @@ class TestConcurrency:
                 for t in threads:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+
+    def test_term_table_growth_under_concurrent_readers(self):
+        # term readers extend the table a block at a time while superior parts grow the sieve
+        oracle = [1] + sieve_primes(400_000)
+        failures = []
+
+        def term_reader(base, i):
+            try:
+                while i < len(oracle):
+                    if base.term(i) != oracle[i]:
+                        failures.append(("term", i))
+                    i += 1 + i // 64
+            except Exception as exc:  # pragma: no cover - failure path
+                failures.append(exc)
+
+        def part_reader(base, v):
+            try:
+                while v < oracle[-1]:
+                    i, w = base.superior_part(v)
+                    if not (w == oracle[i] and w <= v < oracle[i + 1]):
+                        failures.append(("superior_part", v, i, w))
+                    v = v * 9 // 8 + 1
+            except Exception as exc:  # pragma: no cover - failure path
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                base = bs.prime()
+                threads = [threading.Thread(target=term_reader, args=(base, i)) for i in (90, 100, 150, 300)]
+                threads += [threading.Thread(target=part_reader, args=(base, v)) for v in (500, 700, 1100, 3000)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert [base.term(i) for i in range(len(oracle))] == oracle
         finally:
             sys.setswitchinterval(interval)
         assert not failures

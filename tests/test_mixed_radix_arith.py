@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,18 @@ class TestPurity:
 
     def test_mixed_radix_is_pure(self):
         assert is_pure_mixed_radix(bs.make_mixed_radix([3, 1, 4], cyclic=True), 50)
+
+    def test_product_bases_answer_without_reading_a_term(self):
+        unbounded = [bs.power_of(10), bs.factorial(), bs.make_mixed_radix([3, 1, 4], cyclic=True)]
+        finite = bs.make_mixed_radix([1, 2, 3, 4])  # weights 1, 2, 6, 24, 120: no w_5
+        tracemalloc.start()
+        try:
+            assert all(is_pure_mixed_radix(base, 3000) for base in unbounded)
+            assert [is_pure_mixed_radix(finite, upto) for upto in (1, 4, 5, 6)] == [True, True, False, False]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16  # the power:10 weights up to 10^3000 alone take 2 MB
 
     def test_upto_must_be_positive(self):
         with pytest.raises(InvalidParameter):
