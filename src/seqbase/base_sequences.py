@@ -10,10 +10,13 @@ from how they grow:
   of the largest one <= v is an integer m-th root, so these bases keep no
   terms at all;
 - prime weights come from a sieve of Eratosthenes over the odd numbers
-  that at least doubles each time it grows, up to 10^8 and no further; a
-  directory of prime counts per block of the sieve gives the index of a
-  prime (rank, Jacobson 1989), so a superior part builds no term, and
-  terms are extracted into a table only as far as they are read;
+  that at least doubles each time it grows, up to 10^8 and no further;
+  the sieve is laid down as copies of a period already struck by 3, 5, 7,
+  11 and 13, so it strikes only the primes from 17 on.  A directory of
+  prime counts per block of the sieve, each block counted as the set bits
+  of one integer, gives the index of a prime (rank, Jacobson 1989), so a
+  superior part builds no term, and terms are extracted into a table only
+  as far as they are read;
 - every other family is memoized as its weights are produced, and these
   come from two recurrences: products w_{i+1} = r_i * w_i (factorial with
   r_i = i + 2, power-p with r_i = p, mixed radix with r_i = t_i + 1) and
@@ -48,13 +51,16 @@ from .errors import (
 )
 
 # The prime sieve covers 0 .. _PRIME_SIEVE_LIMIT and no more.  At the limit
-# it holds 50 MB of sieve (a byte per odd number) and a 1.6 MB directory;
+# it holds 50 MB of sieve (a byte per odd number) and a 98 KB directory;
 # the term table holds only the primes read, 8 bytes each (46 MB for all).
 _PRIME_SIEVE_LIMIT = 10**8
 # pi(10^8): the primes up to the limit, so w_i exists for i <= this count
 _PRIME_COUNT = 5_761_455
 # Sieve bytes per directory block: an index counts at most this many bytes
-_PRIME_BLOCK = 256
+_PRIME_BLOCK = 4096
+# The term table starts with the primes below this, where every greedy tail
+# ends: no gap between primes below the sieve limit exceeds 220
+_PRIME_HELD_BELOW = 512
 
 # A chunk's radix product stays below this, so dividing by it is one-limb division
 _LIMB = 1 << sys.int_info.bits_per_digit
@@ -77,22 +83,52 @@ def _iroot(v: int, m: int) -> int:
         x = y
 
 
+# Whether 2k + 1 is prime to 3 * 5 * 7 * 11 * 13 repeats with period 15015 in
+# k (30030 in 2k + 1), so a sieve starts as tiles of that period, already
+# struck by these five primes, and strikes only the primes from 17 on.
+_PERIOD_PRIMES = (3, 5, 7, 11, 13)
+
+
+def _struck_period() -> bytes:
+    """15015 bytes, 1 at k when 2k + 1 is prime to each of _PERIOD_PRIMES (the primes themselves struck too)."""
+    period = bytearray([1]) * math.prod(_PERIOD_PRIMES)
+    for p in _PERIOD_PRIMES:
+        period[p // 2 :: p] = bytes(len(range(p // 2, len(period), p)))
+    return bytes(period)
+
+
+_PERIOD = _struck_period()
+# A sieve's first bytes, for 1, 3, 5, 7, 9, 11, 13: 1 struck, the period's primes restored
+_SIEVE_HEAD = b"\x00\x01\x01\x01\x00\x01\x01"
+
+
 def _odd_sieve(n: int) -> bytearray:
-    """odd[k] = 1 when 2k + 1 is prime, for the odd numbers below n (n >= 2)."""
-    odd = bytearray([1]) * (n // 2)  # odd[k] stands for 2k + 1
-    odd[0] = 0  # 1 is not prime
-    for k in range(1, (math.isqrt(n - 1) + 1) // 2):
+    """odd[k] = 1 when 2k + 1 is prime, for the odd numbers below n (n >= 2).
+
+    The tiles have struck 3, 5, 7, 11 and 13 already, so the largest strike
+    buffer, for p = 17, is 1/17 of the sieve.
+    """
+    size = n // 2  # odd[k] stands for 2k + 1
+    odd = bytearray(_PERIOD) * -(-size // len(_PERIOD))
+    del odd[size:]
+    odd[: len(_SIEVE_HEAD)] = _SIEVE_HEAD[:size]  # 1 is not prime; 3 .. 13 are
+    for k in range(17 // 2, (math.isqrt(n - 1) + 1) // 2):  # the tiles struck every odd p below 17
         if odd[k]:
             p = 2 * k + 1
             first = p * p // 2
-            odd[first::p] = bytes(len(range(first, len(odd), p)))
+            odd[first::p] = bytearray(len(range(first, len(odd), p)))  # a bytes value would be copied first
     return odd
 
 
 def _directory(odd: bytearray) -> array:
-    """counts[b] = the number of odd primes in odd[:b * _PRIME_BLOCK], the last entry counting them all."""
-    edges = range(0, len(odd) + _PRIME_BLOCK, _PRIME_BLOCK)
-    return array("q", itertools.accumulate(map(odd.count, itertools.repeat(1), edges, edges[1:]), initial=0))
+    """counts[b] = the number of odd primes in odd[:b * _PRIME_BLOCK], the last entry counting them all.
+
+    Every sieve byte is 0 or 1, so the primes in a block are the set bits
+    of the block read as one integer.
+    """
+    with memoryview(odd) as view:
+        blocks = (view[a : a + _PRIME_BLOCK] for a in range(0, len(odd), _PRIME_BLOCK))
+        return array("q", itertools.accumulate((int.from_bytes(b, "little").bit_count() for b in blocks), initial=0))
 
 
 def _products(radices: Iterable[int], bounds: list[int]) -> Iterator[int]:
@@ -319,13 +355,14 @@ class _PowerSequence(BaseSequence):
 class _PrimeSequence(BaseSequence):
     """1 and then the primes, read from an odd-only sieve that at least doubles whenever it grows.
 
-    The sieve is a bytearray, odd[k] = 1 when 2k + 1 is prime, kept with
-    its directory (`_directory`).  A superior part of a value past the held
-    terms finds the last prime <= v in the sieve, and its index from the
-    directory plus one count inside its block, so it builds no term.  The
-    term table `_cache` starts with the primes of the first block, which
-    hold every greedy tail (no prime gap below 10^8 exceeds 220), and is
-    extended from the sieve only when a term past it is read: to the end
+    The sieve is a bytearray, odd[k] = 1 when 2k + 1 is prime, built from
+    the struck period (`_odd_sieve`) and kept with its directory of prime
+    counts per 4096-byte block (`_directory`).  A superior part of a value
+    past the held terms finds the last prime <= v in the sieve, and its
+    index from the directory entry at the nearest block edge plus or minus
+    one count between that edge and the prime, so it builds no term.  The term table `_cache` starts with the primes below 512,
+    which hold every greedy tail (no prime gap below 10^8 exceeds 220), and
+    is extended from the sieve only when a term past it is read: to the end
     of that term's block, and to at least twice its length, so that
     reading the terms in ascending order copies each one O(1) times.
 
@@ -336,9 +373,9 @@ class _PrimeSequence(BaseSequence):
 
     def __init__(self):
         super().__init__("prime", ("prime",))
-        odd = _odd_sieve(2 * _PRIME_BLOCK)
+        odd = _odd_sieve(_PRIME_HELD_BELOW)
         self._sieve = odd, _directory(odd)
-        self._cache = array("q", (1, 2, *itertools.compress(range(3, 2 * _PRIME_BLOCK, 2), odd[1:])))
+        self._cache = array("q", (1, 2, *itertools.compress(range(3, _PRIME_HELD_BELOW, 2), odd[1:])))
 
     def _terms_upto(self, i: int) -> Sequence[int]:
         terms = self._cache
@@ -378,8 +415,10 @@ class _PrimeSequence(BaseSequence):
                 raise self._beyond_limit("the superior part of a larger value")
             odd, counts = self._sieve_to(value)
         k = odd.rfind(1, 0, k + 1)
-        block = k // _PRIME_BLOCK
-        return 1 + counts[block] + odd.count(1, block * _PRIME_BLOCK, k + 1), 2 * k + 1
+        edge = (k + _PRIME_BLOCK // 2) // _PRIME_BLOCK * _PRIME_BLOCK  # the block edge nearest to k
+        # count from the edge up to k, or take off the primes from k up to the edge: one range is empty
+        rank = counts[edge // _PRIME_BLOCK] + odd.count(1, edge, k + 1) - odd.count(1, k + 1, edge)
+        return 1 + rank, 2 * k + 1
 
     def _sieve_to(self, n: int) -> tuple[bytearray, array]:
         """The sieve and directory, grown if they do not cover n (n <= the sieve limit)."""
@@ -401,8 +440,10 @@ class _PrimeSequence(BaseSequence):
 def prime() -> BaseSequence:
     """Weights 1, 2, 3, 5, 7, ... (w_i is the i-th prime for i >= 1).
 
-    The terms come from a sieve that stops at 10^8.  A superior part
-    counts the primes up to the value in the sieve and builds no term;
+    The terms come from a sieve of the odd numbers that stops at 10^8 and
+    strikes only the primes from 17 on, the smaller odd ones struck by the
+    copied period it starts from.  A superior part counts the primes up to
+    the value from a directory of counts per sieve block and builds no term;
     term(i) extracts the terms from the sieve as far as the block that
     holds w_i, at least doubling the table it extends.  A term past the
     primes up to 10^8, or the superior part of a value above 10^8, raises
@@ -556,6 +597,10 @@ def parse_base_file(text: str) -> BaseSequence:
 
 
 def load_base_file(path) -> BaseSequence:
-    """Read and parse a custom base file from disk."""
+    """Read and parse a custom base file from disk; a file that is not UTF-8 raises InvalidParameter."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_base_file(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise InvalidParameter(f"base file {path} is not UTF-8: {e.reason} at byte {e.start}") from None
+    return parse_base_file(text)

@@ -1,3 +1,4 @@
+import bisect
 import gc
 import math
 import sys
@@ -27,6 +28,11 @@ def sieve_primes(limit):
         if mark[p]:
             mark[p * p :: p] = bytearray(len(mark[p * p :: p]))
     return [i for i in range(limit + 1) if mark[i]]
+
+
+def trial_division(limit):
+    """odd[k] = 1 when 2k + 1 < limit is prime, by trial division: an oracle that sieves nothing."""
+    return bytearray(m > 1 and all(m % d for d in range(3, math.isqrt(m) + 1, 2)) for m in range(1, limit, 2))
 
 
 class TestBuiltinFamilies:
@@ -354,7 +360,7 @@ class TestPrimeBounds:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 500 KB sieve and its largest strike (167 KB) fit; an array of
+        # the 500 KB sieve and its largest strike (29 KB) fit; an array of
         # the 78498 terms would add 628 KB
         assert peak < 10**6
         assert base.term(78_497) == 999_979
@@ -370,6 +376,54 @@ class TestPrimeBounds:
                 tables, swaps = base._cache, swaps + 1
         assert base.term(664_579) == 9_999_991  # pi(10^7) = 664579
         assert swaps <= 20  # doubling from 97 terms reaches 664579 in 13
+
+
+class TestOddSieve:
+    def test_small_sieves_and_period_seams_match_trial_division(self):
+        # the struck period covers 30030 numbers: these sieves end at, just
+        # before and just past 1 to 4 copies of it
+        seams = [30030 * k + d for k in range(1, 5) for d in range(-2, 3)]
+        expected = trial_division(max(seams) + 1)
+        for n in [*range(2, 301), *seams]:
+            assert bs._odd_sieve(n) == expected[: n // 2], n
+
+    def test_million_matches_the_plain_sieve(self):
+        odd = bs._odd_sieve(10**6)
+        assert [2 * k + 1 for k, is_prime in enumerate(odd) if is_prime] == sieve_primes(10**6)[1:]
+
+    def test_no_strike_buffer_exceeds_a_seventeenth_of_the_sieve(self):
+        tracemalloc.start()
+        try:
+            odd = bs._odd_sieve(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the sieve, a strike for p = 17 and a copy of the 15 KB period fit;
+        # a strike for p = 3 would add a third of the sieve, and two thirds
+        # as a bytes value, which slice assignment copies first
+        assert peak < len(odd) * 17 / 16 + 2**16
+
+
+class TestPrimeDirectory:
+    @pytest.mark.parametrize(
+        "n",
+        [10**6, 6 * bs._PRIME_BLOCK, 2 * bs._PRIME_BLOCK + 7, 300],
+        ids=["million", "whole-blocks", "part-block", "under-a-block"],
+    )
+    def test_counts_are_the_primes_before_each_block(self, n):
+        odd = bs._odd_sieve(n)
+        counts = bs._directory(odd)
+        assert len(counts) == -(-len(odd) // bs._PRIME_BLOCK) + 1
+        assert list(counts) == [odd.count(1, 0, b * bs._PRIME_BLOCK) for b in range(len(counts))]
+
+    def test_superior_parts_across_whole_blocks(self):
+        # a rank counts up from the block edge below it or down from the one above, whichever is nearer
+        primes = [1] + sieve_primes(6 * bs._PRIME_BLOCK)
+        base = bs.prime()
+        base.superior_part(10**6)  # the sieve covers these blocks before the first value
+        for v in range(1, 6 * bs._PRIME_BLOCK):
+            i = bisect.bisect_right(primes, v) - 1
+            assert base.superior_part(v) == (i, primes[i]), v
 
 
 class TestPrimeSieveLimit:

@@ -85,6 +85,14 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_base_file_not_utf8_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "base.bin"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "encode", "--base", f"file:{path}", "3")
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "not UTF-8" in err
+
     def test_argparse_error_exits_two(self, capsys):
         code, out, _ = run(capsys, "encode", "--base", "factorial")
         assert code == cli.EXIT_USAGE
