@@ -17,20 +17,29 @@ from how they grow:
   of one integer, gives the index of a prime (rank, Jacobson 1989), so a
   superior part builds no term, and terms are extracted into a table only
   as far as they are read;
-- every other family is memoized as its weights are produced, and these
-  come from two recurrences: products w_{i+1} = r_i * w_i (factorial with
-  r_i = i + 2, power-p with r_i = p, mixed radix with r_i = t_i + 1) and
-  sums w_{i+2} = w_{i+1} + w_i (Fibonacci from 1, 2 and Lucas from 1, 3);
-  an explicit base hands over its listed terms.  These weights grow
-  exponentially or are finite, so a cache that reaches v holds O(log v)
-  terms.
+- Fibonacci (from 1, 2) and Lucas (from 1, 3) weights are sums,
+  w_{i+2} = w_{i+1} + w_i, so w_i = a F_{i-1} + b F_i with a = w_0 and
+  b = w_1; these bases hold only their terms below 2^64 and compute any
+  other term from the fast-doubling identities of the Fibonacci numbers
+  (Knuth, TAOCP vol. 1, 1.2.8), so they keep no table that grows with v;
+- the product families are memoized as their weights are produced,
+  w_{i+1} = r_i * w_i (factorial with r_i = i + 2, power-p with r_i = p,
+  mixed radix with r_i = t_i + 1), and an explicit base hands over its
+  listed terms.  These weights grow exponentially or are finite, so a
+  cache that reaches v holds O(log v) terms.
 
 The product families (factorial, power-p, mixed radix) are defined by
 their radices: multiplying out w_{i+1} records the digit bound
 t_i = r_i - 1 at the same time, so no bound is divided out of two terms.
-They also keep a chunk table for the codec: their radices grouped so that
-each group's product fits one CPython limb, since their greedy digits are
-the remainders of successive division by r_0, r_1, ...
+They also keep a chunk table for their greedy kernel: their radices
+grouped so that each group's product fits one CPython limb, since their
+greedy digits are the remainders of successive division by r_0, r_1, ...
+
+Each family also carries the codec's kernels (`_greedy`, `_terms_at`,
+`_decode`, `_value_if_canonical`, `_is_canonical`), so the codec never
+asks which family it holds: the term table serves the prime, power and
+explicit bases, the product families divide by their radix chunks, and
+the additive bases walk their recurrence.
 """
 
 from __future__ import annotations
@@ -69,6 +78,11 @@ _LIMB = 1 << sys.int_info.bits_per_digit
 # digit bound computes a power of that size, so an m from the command line
 # could otherwise ask for gigabytes.
 _MPOWER_MAX_M = 1000
+
+# An additive base holds its terms below this, 92 of them for Fibonacci and for Lucas
+_ADDITIVE_HEAD_LIMIT = 1 << 64
+_PHI = (1 + math.sqrt(5)) / 2
+_LOG2_PHI = math.log2(_PHI)
 
 
 def _iroot(v: int, m: int) -> int:
@@ -141,31 +155,44 @@ def _products(radices: Iterable[int], bounds: list[int]) -> Iterator[int]:
         yield w
 
 
-def _sums(a: int, b: int) -> Iterator[int]:
-    """a, b, a + b, ...: the additive weights w_{i+2} = w_{i+1} + w_i."""
-    while True:
-        yield a
-        a, b = b, a + b
+def _fib_pair(n: int) -> tuple[int, int]:
+    """(F_n, F_{n+1}) for n >= 0 by fast doubling: F_2k = F_k (2 F_{k+1} - F_k), F_{2k+1} = F_k^2 + F_{k+1}^2."""
+    f, g = 0, 1
+    for bit in format(n, "b"):  # (F_k, F_{k+1}) -> (F_2k, F_{2k+1}), then one step on a 1 bit
+        f, g = f * (2 * g - f), f * f + g * g
+        if bit == "1":
+            f, g = g, f + g
+    return f, g
 
 
 class BaseSequence:
     """A weight sequence, safe to share across concurrent readers.
 
     A family supplies three hooks.  `_terms_upto(i)` grows the terms and
-    returns one table whose items 0..i are w_0..w_i; `term(i)` indexes it,
-    and the codec's loops index it instead of calling `term` per position.
+    returns one table whose items 0..i are w_0..w_i; `term(i)` indexes it.
     `superior_part(v)` asks `_index_le(v)`.  `digit_bound(i)` answers from
     an append-only bound memo; past the memo it asks `_bound_past_memo(i)`.
     `_cache` is the table of the terms held now, perhaps none, which the
-    codec's greedy walk reads without growing it.
+    default greedy kernel reads without growing it.
+
+    It also supplies the codec's kernels, which take a value >= 1 or
+    nonempty ascending (position, digit) entries: `_greedy(value)` gives
+    the greedy entries, `_terms_at(entries)` the weights at the entries'
+    positions, `_decode(entries)` their digit-weighted sum,
+    `_value_if_canonical` the value of canonical entries or None, and
+    `_is_canonical` the verdict alone.  The defaults here read the term
+    table: the greedy loop divides by the superior part and bisects the
+    held terms below it, and the canonical check keeps the running prefix
+    sum below each next weight.
 
     This class is the memoized family: its hooks pull terms one at a time
     from a generator into an append-only list under the lock, and that list
     is its term table, so once term(i) or a bound has been handed out every
     later call returns the identical value.  Its bounds are divided out of
     the terms, floor((w_{i+1} - 1) / w_i), and memoized lazily under the
-    lock up to the position asked for.  A product family records its bounds
-    from its radices instead (`_RadixSequence`).  The closed-form and sieved
+    lock up to the position asked for.  Only the product families
+    (`_RadixSequence`, which records its bounds from its radices) and the
+    explicit bases use it now.  The closed-form, sieved and additive
     families override the hooks; they keep no bound memo, since their
     positions reach far past what a contiguous memo could hold.
     """
@@ -266,6 +293,59 @@ class BaseSequence:
         idx = bisect_right(cache, value) - 1
         return idx, cache[idx]
 
+    def _greedy(self, value: int) -> list[tuple[int, int]]:
+        """Ascending greedy entries of value >= 1: divide by the superior part, bisecting held terms below it."""
+        i, wi = self.superior_part(value)
+        w = self._cache  # the terms the base holds now, perhaps none
+        reach = w[-1] if w else 0
+        entries: list[tuple[int, int]] = []
+        rest = value
+        while True:
+            d, rest = divmod(rest, wi)
+            entries.append((i, d))
+            if not rest:
+                break
+            if rest < reach:  # the held terms reach past rest
+                i = bisect_right(w, rest) - 1
+                wi = w[i]
+            else:
+                i, wi = self.superior_part(rest)
+        entries.reverse()
+        return entries
+
+    def _terms_at(self, entries: Sequence[tuple[int, int]]) -> Iterable[int]:
+        """w_i at each position i of the ascending entries, in their order."""
+        w = self._terms_upto(entries[-1][0])
+        return [w[i] for i, _ in entries]
+
+    def _decode(self, entries: Sequence[tuple[int, int]]) -> int:
+        """The digit-weighted sum of the ascending entries."""
+        w = self._terms_upto(entries[-1][0])
+        return sum(d * w[i] for i, d in entries)
+
+    def _value_if_canonical(self, entries: Sequence[tuple[int, int]]) -> int | None:
+        """The value of the ascending entries if they are its greedy form, else None."""
+        cap = self.capacity
+        last = -1 if cap is None else cap - 1  # a finite base's top term has no successor to test against
+        if cap is not None and entries[-1][0] > last:
+            return None
+        w: Sequence[int] = ()
+        running = 0
+        for i, d in entries:
+            j = i if i == last else i + 1  # the highest weight this entry reads
+            if j >= len(w):  # grow the table only as far as the entries get before one fails
+                w = self._terms_upto(j)
+            running += d * w[i]
+            if i != last and running >= w[i + 1]:
+                return None
+        if cap is not None and running > self.max_encodable():
+            return None
+        return running
+
+    def _is_canonical(self, entries: Sequence[tuple[int, int]]) -> bool:
+        """Whether the ascending entries are the greedy form of their value."""
+        return self._value_if_canonical(entries) is not None
+
 
 class _RadixSequence(BaseSequence):
     """A memoized product family built from its radices: w_{i+1} = r_i * w_i and t_i = r_i - 1.
@@ -315,6 +395,36 @@ class _RadixSequence(BaseSequence):
                         chunks.append((r, (r,)))
                 self._chunked = max(self._chunked, upto + 1)
         return self._chunks, top_term
+
+    def _greedy(self, value: int) -> list[tuple[int, int]]:
+        """Ascending greedy entries of value >= 1: the remainders of dividing by r_0, r_1, ...
+
+        Dividing by a chunk of radices whose product fits one CPython limb
+        is the single-precision radix conversion of Knuth (TAOCP vol. 2,
+        4.4): the interpreter divides a big integer by a one-limb divisor in
+        one linear pass, so a chunk of several digits costs one pass, where
+        dividing by the big weight w_i costs a long division per digit and
+        one radix at a time a pass per digit.  The small remainder is split
+        with machine-size divisions.
+        """
+        chunks, top_term = self._chunks_for(value)
+        entries: list[tuple[int, int]] = []
+        q = value
+        pos = 0
+        for product, radices in chunks:
+            q, rest = divmod(q, product)  # one pass over q, unless one radix is a limb or more
+            i = pos
+            while rest:  # the chunk's digits above the highest nonzero one are zero
+                rest, d = divmod(rest, radices[i - pos])
+                if d:
+                    entries.append((i, d))
+                i += 1
+            if not q:
+                break
+            pos += len(radices)
+        if top_term is not None:  # what the radices leave is the top term's digit
+            entries.append((top_term, q))
+        return entries
 
 
 class _Powers:
@@ -437,6 +547,134 @@ class _PrimeSequence(BaseSequence):
         )
 
 
+class _AdditiveTerms:
+    """The table of w_i = a F_{i-1} + b F_i: the held head, and fast doubling past it."""
+
+    __slots__ = ("head", "a", "b")
+
+    def __init__(self, head: tuple[int, ...], a: int, b: int):
+        self.head, self.a, self.b = head, a, b
+
+    def __getitem__(self, i: int) -> int:
+        if i < len(self.head):
+            return self.head[i]
+        return self.pair(i)[0]
+
+    def pair(self, i: int) -> tuple[int, int]:
+        """(w_i, w_{i+1}) for i >= 1."""
+        f, g = _fib_pair(i - 1)
+        return self.a * f + self.b * g, self.a * g + self.b * (f + g)
+
+    def __len__(self) -> int:  # every position is in the table; len() can report no more
+        return sys.maxsize
+
+
+class _AdditiveSequence(BaseSequence):
+    """w_0 = a, w_1 = b > a, w_{i+2} = w_{i+1} + w_i, holding only the terms below 2^64 (the head).
+
+    Every w_{i+1} < 2 w_i for i >= 1, so the digit bounds are t_0 =
+    (b - 1) // a and t_i = 1, and the greedy digits above position 0 are
+    0 or 1 with a 0 below every 1: after w_i is taken the rest is below
+    w_{i+1} - w_i = w_{i-1}.  So a word is canonical exactly when no two
+    adjacent digits are nonzero, d_0 <= t_0 and every other digit is at
+    most 1 (Fraenkel, "Systems of numeration", 1985), and no weight needs
+    to be read to say so.  A term past the head comes from fast doubling;
+    a superior part estimates its index from log2(v) and steps the
+    recurrence from there.  Greedy walks down from the top pair by
+    compare-and-subtract, w_{i-1} = w_{i+1} - w_i, and the weights of a
+    decode come from one walk up; both read the head directly below 2^64.
+    Nothing grows after construction, so there is no state to guard.
+    """
+
+    def __init__(self, name: str, a: int, b: int):
+        super().__init__(name, (name,))
+        head = [a, b]
+        while head[-1] + head[-2] < _ADDITIVE_HEAD_LIMIT:
+            head.append(head[-1] + head[-2])
+        self._head = tuple(head)
+        self._table = _AdditiveTerms(self._head, a, b)
+        self._t0 = (b - 1) // a
+        self._bounds += [self._t0] + [1] * (len(head) - 2)  # the head's bounds, read from the memo
+        # w_i is about c phi^i, with c = (a / phi + b) / sqrt(5)
+        self._log2_c = math.log2((a / _PHI + b) / math.sqrt(5))
+
+    def _terms_upto(self, i: int) -> Sequence[int]:
+        return self._head if i < len(self._head) else self._table
+
+    def _bound_past_memo(self, i: int) -> int:
+        return 1
+
+    def _index_le(self, value: int) -> tuple[int, int]:
+        head = self._head
+        if value < head[-1]:
+            i = bisect_right(head, value) - 1
+            return i, head[i]
+        i, x, _ = self._bracket(value)
+        return i, x
+
+    def _bracket(self, value: int) -> tuple[int, int, int]:
+        """(i, w_i, w_{i+1}) with w_i <= value < w_{i+1}, for value at or past the head's last term."""
+        i = max(int((math.log2(value) - self._log2_c) / _LOG2_PHI), len(self._head) - 1)
+        x, y = self._table.pair(i)
+        while y <= value:
+            i, x, y = i + 1, y, x + y
+        while x > value:
+            i, x, y = i - 1, y - x, x
+        return i, x, y
+
+    def _greedy(self, value: int) -> list[tuple[int, int]]:
+        head = self._head
+        entries: list[tuple[int, int]] = []
+        rest = value
+        if rest >= head[-1]:
+            i, x, y = self._bracket(rest)  # x = w_i <= rest < y = w_{i+1}
+            while rest >= head[-1]:
+                if rest >= x:  # rest < w_{i-1} after this, so position i - 1 holds 0: step down two
+                    entries.append((i, 1))
+                    rest -= x
+                    y -= x
+                    i, x, y = i - 2, x - y, y
+                else:
+                    i, x, y = i - 1, y - x, x
+        while rest:  # the head holds every term the rest can take
+            i = bisect_right(head, rest) - 1
+            if not i:
+                entries.append((0, rest))
+                break
+            entries.append((i, 1))
+            rest -= head[i]
+        entries.reverse()
+        return entries
+
+    def _terms_at(self, entries: Sequence[tuple[int, int]]) -> Iterator[int]:
+        head = self._head
+        j, x, y = len(head) - 2, head[-2], head[-1]  # x = w_j, y = w_{j+1}
+        for i, _ in entries:
+            if i < len(head):
+                yield head[i]
+                continue
+            for _ in range(i - j):
+                x, y = y, x + y
+            j = i
+            yield x
+
+    def _decode(self, entries: Sequence[tuple[int, int]]) -> int:
+        if entries[-1][0] < len(self._head):
+            return super()._decode(entries)
+        return sum(d * w for (_, d), w in zip(entries, self._terms_at(entries)))
+
+    def _value_if_canonical(self, entries: Sequence[tuple[int, int]]) -> int | None:
+        return self._decode(entries) if self._is_canonical(entries) else None
+
+    def _is_canonical(self, entries: Sequence[tuple[int, int]]) -> bool:
+        last = -2
+        for i, d in entries:
+            if i - last < 2 or d > (1 if i else self._t0):
+                return False
+            last = i
+        return True
+
+
 def prime() -> BaseSequence:
     """Weights 1, 2, 3, 5, 7, ... (w_i is the i-th prime for i >= 1).
 
@@ -479,13 +717,23 @@ def power_of(p: int) -> BaseSequence:
 
 
 def fibonacci() -> BaseSequence:
-    """Weights 1, 2, 3, 5, 8, ... (the distinct Fibonacci numbers, one 1 only)."""
-    return BaseSequence("fibonacci", ("fibonacci",), _sums(1, 2))
+    """Weights 1, 2, 3, 5, 8, ... (the distinct Fibonacci numbers, one 1 only).
+
+    A digit word is canonical exactly when every digit is 0 or 1 and no two
+    adjacent digits are 1 (Zeckendorf).  The base holds the terms below
+    2^64 and computes the others by fast doubling.
+    """
+    return _AdditiveSequence("fibonacci", 1, 2)
 
 
 def lucas() -> BaseSequence:
-    """Weights 1, 3, 4, 7, 11, ... (Lucas numbers from 1 upward, 2 dropped)."""
-    return BaseSequence("lucas", ("lucas",), _sums(1, 3))
+    """Weights 1, 3, 4, 7, 11, ... (Lucas numbers from 1 upward, 2 dropped).
+
+    A digit word is canonical exactly when d_0 <= 2, every other digit is
+    0 or 1, and no two adjacent digits are nonzero.  The base holds the
+    terms below 2^64 and computes the others by fast doubling.
+    """
+    return _AdditiveSequence("lucas", 1, 3)
 
 
 _BUILTINS = {

@@ -4,24 +4,21 @@ A representation is canonical exactly when it is what the greedy algorithm
 produces: every prefix value (the sum of digits below a position, weighted)
 stays strictly below that position's weight.
 
-In a product base, w_{i+1} = r_i * w_i, the greedy digits are the
-remainders of successive division by r_0, r_1, ...  Encoding there divides
-by chunks of radices whose product fits one CPython limb, the
-single-precision radix conversion of Knuth (TAOCP vol. 2, 4.4): the
-interpreter divides a big integer by a one-limb divisor in one linear pass,
-so a chunk of several digits costs one pass, where dividing by the big
-weight w_i costs a long division per digit and one radix at a time a pass
-per digit.
+This module keeps the contracts: the argument checks, the errors, the
+capacity of a finite base and `Representation`.  The loops themselves are
+kernels of each base family (`BaseSequence._greedy`, `_terms_at`,
+`_decode`, `_value_if_canonical` and `_is_canonical` in
+`base_sequences`), so the codec reaches every family the same way and
+reads none of its tables.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .base_sequences import BaseSequence, _RadixSequence
+from .base_sequences import BaseSequence
 from .errors import IndexBeyondCapacity, InvalidParameter
 
 _DENSE_LIMIT = 10**7  # most positions a dense digit vector may have
@@ -138,49 +135,7 @@ def _greedy_entries(base: BaseSequence, value: int) -> list[tuple[int, int]]:
     if value < 0:
         raise InvalidParameter(f"cannot encode a negative value: {value}")
     _check_encodable(base, value)
-    if not value:
-        return []
-    if isinstance(base, _RadixSequence):
-        return _radix_entries(base, value)
-    i, wi = base.superior_part(value)
-    w = base._cache  # the terms the base holds now, perhaps none
-    reach = w[-1] if w else 0
-    entries: list[tuple[int, int]] = []
-    rest = value
-    while True:
-        d, rest = divmod(rest, wi)
-        entries.append((i, d))
-        if not rest:
-            break
-        if rest < reach:  # the held terms reach past rest
-            i = bisect_right(w, rest) - 1
-            wi = w[i]
-        else:
-            i, wi = base.superior_part(rest)
-    entries.reverse()
-    return entries
-
-
-def _radix_entries(base: _RadixSequence, value: int) -> list[tuple[int, int]]:
-    """Greedy digits of value >= 1 in a product base: remainders of dividing by r_0, r_1, ..."""
-    chunks, top_term = base._chunks_for(value)
-    entries: list[tuple[int, int]] = []
-    q = value
-    pos = 0
-    for product, radices in chunks:
-        q, rest = divmod(q, product)  # one pass over q, unless one radix is a limb or more
-        i = pos
-        while rest:  # the chunk's digits above the highest nonzero one are zero
-            rest, d = divmod(rest, radices[i - pos])
-            if d:
-                entries.append((i, d))
-            i += 1
-        if not q:
-            break
-        pos += len(radices)
-    if top_term is not None:  # what the radices leave is the top term's digit
-        entries.append((top_term, q))
-    return entries
+    return base._greedy(value) if value else []
 
 
 def encode_greedy(base: BaseSequence, value: int) -> Representation:
@@ -190,19 +145,18 @@ def encode_greedy(base: BaseSequence, value: int) -> Representation:
     at position i counts how often w_i was removed.  The result is the
     unique canonical form of the value.
 
-    In a product base (factorial, power-p, mixed radix) the digits are the
-    remainders of dividing by r_0, r_1, ... in turn.  The loop divides by a
-    chunk of radices at a time, a product below one CPython limb, so each
-    pass over the big quotient is the interpreter's single-limb division,
-    and splits the small remainder with machine-size divisions.  A superior
-    part is taken only when the chunk table may not yet reach the top
-    position.  In every other base one superior part finds the top
-    position.  Below it, where the terms the base already holds reach past
-    the rest, the loop bisects them; elsewhere it takes the superior part
-    of the rest.  A closed-form base holds no term and takes a root per
-    digit; a prime base holds the small primes every greedy tail ends in
-    and the terms read so far, so neither builds a term to encode.  The
-    work goes to the nonzero digits alone.
+    Each family walks to the digits its own way.  In a product base
+    (factorial, power-p, mixed radix) they are the remainders of dividing
+    by r_0, r_1, ... in turn, a chunk of radices below one CPython limb at
+    a time.  In a Fibonacci or Lucas base the walk goes down from the top
+    pair of weights by compare-and-subtract, stepping w_{i-1} =
+    w_{i+1} - w_i and skipping the position below each digit 1.  In every
+    other base one superior part finds the top position; below it, where
+    the terms the base already holds reach past the rest, the loop bisects
+    them, and elsewhere it takes the superior part of the rest.  A
+    closed-form base holds no term and takes a root per digit; a prime base
+    holds the small primes every greedy tail ends in and the terms read so
+    far, so neither builds a term to encode.
     """
     return Representation(base, tuple(_greedy_entries(base, value)))
 
@@ -213,10 +167,7 @@ def decode(rep: Representation) -> int:
     Accepts any digit vector, canonical or not, so it can serve as the
     arithmetic oracle.
     """
-    if not rep.entries:
-        return 0
-    w = rep.base._terms_upto(rep.top)
-    return sum(d * w[i] for i, d in rep.entries)
+    return rep.base._decode(rep.entries) if rep.entries else 0
 
 
 def digits_value(base: BaseSequence, digits: Iterable[int]) -> int:
@@ -226,29 +177,12 @@ def digits_value(base: BaseSequence, digits: Iterable[int]) -> int:
 
 def _canonical_value(base: BaseSequence, entries) -> int | None:
     """The value of ascending (position, digit) entries if they are its greedy form, else None."""
-    if not entries:
-        return 0
-    cap = base.capacity
-    last = -1 if cap is None else cap - 1  # a finite base's top term has no successor to test against
-    if cap is not None and entries[-1][0] > last:
-        return None
-    w: Sequence[int] = ()
-    running = 0
-    for i, d in entries:
-        j = i if i == last else i + 1  # the highest weight this entry reads
-        if j >= len(w):  # grow the table only as far as the entries get before one fails
-            w = base._terms_upto(j)
-        running += d * w[i]
-        if i != last and running >= w[i + 1]:
-            return None
-    if cap is not None and running > base.max_encodable():
-        return None
-    return running
+    return base._value_if_canonical(entries) if entries else 0
 
 
 def is_canonical(rep: Representation) -> bool:
     """True iff the digits are exactly what encode_greedy yields for their value."""
-    return _canonical_value(rep.base, rep.entries) is not None
+    return not rep.entries or rep.base._is_canonical(rep.entries)
 
 
 def expansion_superior_parts(base: BaseSequence, value: int) -> list[int]:
@@ -258,8 +192,11 @@ def expansion_superior_parts(base: BaseSequence, value: int) -> list[int]:
     the weighted digits of encode_greedy: each position contributes its
     weight once per unit of its digit.
     """
-    term = base.term
-    return [term(i) for i, d in reversed(_greedy_entries(base, value)) for _ in range(d)]
+    entries = _greedy_entries(base, value)
+    if not entries:
+        return []
+    terms = list(base._terms_at(entries))
+    return [w for (_, d), w in zip(reversed(entries), reversed(terms)) for _ in range(d)]
 
 
 def verify_range(base: BaseSequence, lo: int, hi: int) -> VerificationReport:

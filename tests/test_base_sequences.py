@@ -776,6 +776,7 @@ class TestReleasedWithoutTheCycleCollector:
             pytest.param(bs.factorial, 10**2000 + 1, id="factorial"),
             pytest.param(lambda: bs.power_of(10), 10**2000 + 1, id="power:10"),
             pytest.param(bs.fibonacci, 10**2000 + 1, id="fibonacci"),
+            pytest.param(bs.lucas, 10**2000 + 1, id="lucas"),
             pytest.param(lambda: bs.make_mixed_radix([9, 5, 11, 1, 6], cyclic=True), 10**2000 + 1, id="cyclic-mixed-radix"),
             pytest.param(lambda: bs.make_mixed_radix([9] * 2001), 10**2001 + 10**2000, id="finite-mixed-radix"),
         ],

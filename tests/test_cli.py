@@ -1,5 +1,9 @@
 import math
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +201,29 @@ class TestBigNumbers:
         run(capsys, "decode", "--base", "factorial", "1" + ".0" * 1700)
         run(capsys, "sub", "--value", "--base", "factorial", "1", "2")
         assert sys.get_int_max_str_digits() == before
+
+
+class TestMemoryCeiling:
+    """A modest command finishes within a bounded address space."""
+
+    def test_decode_fibonacci_100000_zeros_under_400_mb(self):
+        # a table of every Fibonacci term up to position 100000 would need about 435 MB
+        limit = 400 * 2**20
+
+        def cap_address_space():  # runs in the child alone
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        child = subprocess.run(
+            [sys.executable, "-m", "seqbase", "decode", "--base", "fibonacci", "1" + "0" * 100000],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        f, g = 0, 1  # F_0, F_1
+        for _ in range(100002):
+            f, g = g, f + g
+        assert (child.returncode, child.stderr) == (cli.EXIT_OK, "")
+        assert child.stdout == unlimited_str(f) + "\n"  # w_100000 = F_100002
