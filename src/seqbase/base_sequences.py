@@ -22,24 +22,26 @@ from how they grow:
   b = w_1; these bases hold only their terms below 2^64 and compute any
   other term from the fast-doubling identities of the Fibonacci numbers
   (Knuth, TAOCP vol. 1, 1.2.8), so they keep no table that grows with v;
-- the product families are memoized as their weights are produced,
-  w_{i+1} = r_i * w_i (factorial with r_i = i + 2, power-p with r_i = p,
-  mixed radix with r_i = t_i + 1), and an explicit base hands over its
-  listed terms.  These weights grow exponentially or are finite, so a
-  cache that reaches v holds O(log v) terms.
-
-The product families (factorial, power-p, mixed radix) are defined by
-their radices: multiplying out w_{i+1} records the digit bound
-t_i = r_i - 1 at the same time, so no bound is divided out of two terms.
-They also keep a chunk table for their greedy kernel: their radices
-grouped so that each group's product fits one CPython limb, since their
-greedy digits are the remainders of successive division by r_0, r_1, ...
+- the product families, factorial (r_i = i + 2), power-p (r_i = p) and
+  mixed radix (r_i = t_i + 1), are defined by their radices,
+  w_{i+1} = r_i * w_i, and have closed forms: w_i = (i+1)!, p^i, or for
+  mixed radix a power of the radices' period product times a prefix of
+  one period.  They hold no term: a superior part estimates its index
+  from log2(v), computes that one weight and steps by radices to bracket
+  v.  A digit word is canonical exactly when every d_i <= t_i = r_i - 1
+  (Knuth, TAOCP vol. 2, 4.1), so the verdict reads no weight.  They keep
+  a chunk table for their greedy and decode kernels: their radices
+  grouped so that each group's product fits one CPython limb, since their
+  greedy digits are the remainders of successive division by r_0, r_1,
+  ..., and w_i is the product of the chunks below i's chunk times a
+  small prefix inside it;
+- an explicit base hands over its listed terms, memoized as they are read.
 
 Each family also carries the codec's kernels (`_greedy`, `_terms_at`,
 `_decode`, `_value_if_canonical`, `_is_canonical`), so the codec never
-asks which family it holds: the term table serves the prime, power and
-explicit bases, the product families divide by their radix chunks, and
-the additive bases walk their recurrence.
+asks which family it holds: the term table serves the prime, square,
+m-power and explicit bases, the product families divide by and walk up their radix
+chunks, and the additive bases walk their recurrence.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import sys
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     IndexBeyondCapacity,
@@ -145,16 +147,6 @@ def _directory(odd: bytearray) -> array:
         return array("q", itertools.accumulate((int.from_bytes(b, "little").bit_count() for b in blocks), initial=0))
 
 
-def _products(radices: Iterable[int], bounds: list[int]) -> Iterator[int]:
-    """1, r_0, r_0*r_1, ...: the weights w_{i+1} = r_i * w_i, appending t_i = r_i - 1 to bounds before w_{i+1}."""
-    w = 1
-    yield w
-    for r in radices:
-        bounds.append(r - 1)
-        w *= r
-        yield w
-
-
 def _fib_pair(n: int) -> tuple[int, int]:
     """(F_n, F_{n+1}) for n >= 0 by fast doubling: F_2k = F_k (2 F_{k+1} - F_k), F_{2k+1} = F_k^2 + F_{k+1}^2."""
     f, g = 0, 1
@@ -185,16 +177,17 @@ class BaseSequence:
     held terms below it, and the canonical check keeps the running prefix
     sum below each next weight.
 
-    This class is the memoized family: its hooks pull terms one at a time
-    from a generator into an append-only list under the lock, and that list
-    is its term table, so once term(i) or a bound has been handed out every
-    later call returns the identical value.  Its bounds are divided out of
-    the terms, floor((w_{i+1} - 1) / w_i), and memoized lazily under the
-    lock up to the position asked for.  Only the product families
-    (`_RadixSequence`, which records its bounds from its radices) and the
-    explicit bases use it now.  The closed-form, sieved and additive
-    families override the hooks; they keep no bound memo, since their
-    positions reach far past what a contiguous memo could hold.
+    This class is the memoized family, and only the explicit bases use it
+    as it is: its hooks pull terms one at a time from an iterator into an
+    append-only list under the lock, and that list is its term table, so
+    once term(i) or a bound has been handed out every later call returns
+    the identical value.  Its bounds are divided out of the terms,
+    floor((w_{i+1} - 1) / w_i), and memoized lazily under the lock up to
+    the position asked for.  Every other family overrides the hooks: the
+    power, sieved and additive families keep no bound memo (the additive
+    ones only their head's), since their positions reach far past what a
+    contiguous memo could hold, and the product families fill theirs with
+    t_i = r_i - 1 as far as their chunk table reaches.
     """
 
     def __init__(
@@ -269,19 +262,20 @@ class BaseSequence:
         cache = self._cache
         if i >= len(cache):
             if self.capacity is not None and i >= self.capacity:
-                raise IndexBeyondCapacity(
-                    f"base {self.name} has only {self.capacity} terms; no term {i}"
-                )
+                raise self._no_term(i)
             with self._lock:
                 while len(cache) <= i:
                     cache.append(next(self._weights))
         return cache
 
+    def _no_term(self, i: int) -> IndexBeyondCapacity:
+        return IndexBeyondCapacity(f"base {self.name} has only {self.capacity} terms; no term {i}")
+
     def _bound_past_memo(self, i: int) -> int:
         w = self._terms_upto(i + 1)
         bounds = self._bounds
         with self._lock:
-            for j in range(len(bounds), i + 1):  # none in a product family: its terms brought their bounds
+            for j in range(len(bounds), i + 1):
                 bounds.append((w[j + 1] - 1) // w[j])
         return bounds[i]
 
@@ -347,54 +341,119 @@ class BaseSequence:
         return self._value_if_canonical(entries) is not None
 
 
-class _RadixSequence(BaseSequence):
-    """A memoized product family built from its radices: w_{i+1} = r_i * w_i and t_i = r_i - 1.
+class _ClosedFormTerms:
+    """The table of w_i = weight(i), computed per lookup."""
 
-    Growing the terms under the lock records each t_i in the bound memo as
-    w_{i+1} is multiplied out.  The chunk table is a list of (R, radices)
-    tuples: consecutive radices, from position 0 up, with R their product.
-    A chunk takes radices while R stays below one CPython limb; a radix
-    that is a limb or more by itself fills a chunk alone.  `_chunks_for`
-    fills the table lazily under the lock, as far as the value asked for,
-    and the table is read without the lock.  It only grows: the next radix
-    joins the last chunk in place while their product stays below a limb,
-    and otherwise starts a new chunk.  Chunks before the last never change,
-    and each version of the last covers all the positions the one before
-    it did, so a reader handed the table for v reads one covering v's
-    positions whenever it looks.
+    __slots__ = ("weight",)
+
+    def __init__(self, weight: Callable[[int], int]):
+        self.weight = weight
+
+    def __getitem__(self, i: int) -> int:
+        return self.weight(i)
+
+    def __len__(self) -> int:  # every position is in the table; len() can report no more
+        return sys.maxsize
+
+
+class _RadixSequence(BaseSequence):
+    """A product family, w_{i+1} = r_i * w_i and t_i = r_i - 1, that holds no term.
+
+    The factory gives the family's radices and weights in closed form:
+    `radix(i)` is r_i, `weight(i)` is w_i, and `index_estimate(x)` is about
+    the largest i with log2 w_i <= x.  A superior part estimates its index
+    from log2 v, computes that one weight and steps by radices to bracket v.
+    A word is canonical exactly when every d_i <= t_i (Fraenkel, "Systems
+    of numeration", 1985), and a finite base's top term, which has no
+    radix, takes a digit of at most 1, since the positions below it sum to
+    at most w_top - 1; that verdict reads no weight and no table.
+
+    The chunk table is a list of (R, radices, prefixes) tuples: consecutive
+    radices, from position 0 up, with R their product and prefixes the
+    products of the radices before each one (1 first).  A chunk takes
+    radices while R stays below one CPython limb; a radix that is a limb or
+    more by itself fills a chunk alone.  Greedy divides by the chunks;
+    decode walks their products up, w_i being the product of the chunks
+    below i's chunk times i's prefix in it.  `_cover` is (n, reach): the
+    table covers positions 0 .. n - 1, and every value below reach, which
+    is w_n, or 2 w_n once the table has grown for a finite base's top term n.
+    The bound memo grows beside the table, so `digit_bound` answers the
+    covered positions from a list (parse asks it once per entry) and any
+    other from the closed form.  Both grow under the lock and are read
+    without it.  The table only grows: the next radix joins the last chunk
+    in place while their product stays below a limb, and otherwise starts
+    a new chunk; `_cover` is replaced after the chunks it counts.  Chunks
+    before the last never change, and each version of the last covers all
+    the positions the one before it did, so a reader that saw a cover
+    reads chunks covering it whenever it looks.
     """
 
-    def __init__(self, name: str, signature: tuple, radices: Iterable[int], capacity: int | None = None):
+    def __init__(
+        self,
+        name: str,
+        signature: tuple,
+        radix: Callable[[int], int],
+        weight: Callable[[int], int],
+        index_estimate: Callable[[float], int],
+        capacity: int | None = None,
+    ):
         super().__init__(name, signature, capacity=capacity)
-        self._weights = _products(radices, self._bounds)  # the bound list, not self: no reference cycle
-        self._chunks: list[tuple[int, tuple[int, ...]]] = []
-        self._chunked = 0  # the chunk table covers positions 0 .. _chunked - 1
+        self._radix, self._index_estimate = radix, index_estimate
+        self._terms = _ClosedFormTerms(weight)
+        self._last = None if capacity is None else capacity - 1  # a finite base's top position
+        self._chunks: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+        self._cover = (0, 1)
+        if capacity is not None:
+            self._max_encodable = 2 * weight(self._last) - 1  # w_top + sum of t_i w_i below it, which is w_top - 1
 
-    def _chunks_for(self, value: int) -> tuple[Sequence[tuple[int, tuple[int, ...]]], int | None]:
-        """A chunk table covering value's greedy positions (value >= 1), and a finite base's top position or None.
+    def _terms_upto(self, i: int) -> Sequence[int]:
+        if self._last is not None and i > self._last:
+            raise self._no_term(i)
+        return self._terms
 
-        The top position comes back when value reaches that base's top
-        term, which has no radix: the table stops below it.
-        """
-        covered, w = self._chunked, self._cache
-        if covered < len(w) and value < w[covered]:  # the top position is one the table covers
-            return self._chunks, None
-        top = self.superior_part(value)[0]  # grows the terms, and with them the bounds, past top
-        top_term = top if top + 1 == self.capacity else None
-        upto = top if top_term is None else top - 1
-        if upto >= self._chunked:
-            bounds = self._bounds
-            with self._lock:
-                chunks = self._chunks
-                for j in range(self._chunked, upto + 1):
-                    r = bounds[j] + 1
-                    if chunks and chunks[-1][0] * r < _LIMB:  # the last chunk still has room
-                        product, radices = chunks[-1]
-                        chunks[-1] = (product * r, radices + (r,))
-                    else:
-                        chunks.append((r, (r,)))
-                self._chunked = max(self._chunked, upto + 1)
-        return self._chunks, top_term
+    def _bound_past_memo(self, i: int) -> int:
+        return self._radix(i) - 1
+
+    def _index_le(self, value: int) -> tuple[int, int]:
+        radix, last = self._radix, self._last
+        i = self._index_estimate(math.log2(value))
+        if last is not None:
+            i = min(i, last)
+        w = self._terms[i]
+        while i != last and w * radix(i) <= value:
+            w *= radix(i)
+            i += 1
+        while w > value:
+            i -= 1
+            w //= radix(i)
+        return i, w
+
+    def _extend(self, top: int, w_top: int) -> None:
+        """Grow the chunk table through position top's radix (a finite base's top term has none), given w_top."""
+        if top == self._last:
+            n, reach = top, 2 * w_top
+        else:
+            n, reach = top + 1, w_top * self._radix(top)
+        with self._lock:
+            covered, held = self._cover
+            if n <= covered and reach <= held:  # a finite top may raise the reach over the same positions
+                return
+            chunks, bounds = self._chunks, self._bounds
+            for j in range(covered, n):
+                r = self._radix(j)
+                bounds.append(r - 1)
+                if chunks and chunks[-1][0] * r < _LIMB:  # the last chunk still has room
+                    product, radices, prefixes = chunks[-1]
+                    chunks[-1] = (product * r, radices + (r,), prefixes + (product,))
+                else:
+                    chunks.append((r, (r,), (1,)))
+            self._cover = n, reach
+
+    def _chunks_through(self, top: int) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+        """The chunk table, grown if it does not hold the radices through position top."""
+        if top + (top != self._last) > self._cover[0]:  # position top needs a radix unless it is a finite top
+            self._extend(top, self._terms_upto(top)[top])
+        return self._chunks
 
     def _greedy(self, value: int) -> list[tuple[int, int]]:
         """Ascending greedy entries of value >= 1: the remainders of dividing by r_0, r_1, ...
@@ -405,13 +464,15 @@ class _RadixSequence(BaseSequence):
         one linear pass, so a chunk of several digits costs one pass, where
         dividing by the big weight w_i costs a long division per digit and
         one radix at a time a pass per digit.  The small remainder is split
-        with machine-size divisions.
+        with machine-size divisions.  The table covers every value below
+        the reach in `_cover`, so only a value past it asks a superior part.
         """
-        chunks, top_term = self._chunks_for(value)
+        if value >= self._cover[1]:
+            self._extend(*self.superior_part(value))
         entries: list[tuple[int, int]] = []
         q = value
         pos = 0
-        for product, radices in chunks:
+        for product, radices, _ in self._chunks:
             q, rest = divmod(q, product)  # one pass over q, unless one radix is a limb or more
             i = pos
             while rest:  # the chunk's digits above the highest nonzero one are zero
@@ -422,24 +483,58 @@ class _RadixSequence(BaseSequence):
             if not q:
                 break
             pos += len(radices)
-        if top_term is not None:  # what the radices leave is the top term's digit
-            entries.append((top_term, q))
+        else:  # what a finite base's radices leave is its top term's digit
+            entries.append((pos, q))
         return entries
 
+    def _decode(self, entries: Sequence[tuple[int, int]]) -> int:
+        """The digit-weighted sum of the ascending entries, by a walk up the chunk products.
 
-class _Powers:
-    """The table of w_i = (i + 1)^m, computed per lookup."""
+        w_i is big * prefix: big, the product of the chunks below i's
+        chunk, is multiplied up once per chunk, and prefix, the product of
+        the radices below i inside that chunk, is read from the chunk.  So
+        each entry costs one multiplication of a big integer, by d * prefix,
+        which stays below the chunk's product when d <= t_i.
+        """
+        chunks = iter(self._chunks_through(entries[-1][0]))
+        total, big, product, pos, end = 0, 1, 1, 0, 0  # prefixes are those of the chunk over positions pos .. end - 1
+        for i, d in entries:
+            while i >= end:
+                big *= product
+                # past every chunk lies only a finite base's top term, whose weight is big
+                product, _, prefixes = next(chunks, (1, (), (1,)))
+                pos, end = end, end + len(prefixes)
+            total += big * (d * prefixes[i - pos])
+        return total
 
-    __slots__ = ("m",)
+    def _terms_at(self, entries: Sequence[tuple[int, int]]) -> Iterator[int]:
+        # the walk of _decode, which keeps its own copy: a generator shared with
+        # it made a 1000-digit decode about a tenth slower
+        chunks = iter(self._chunks_through(entries[-1][0]))
+        big, product, pos, end = 1, 1, 0, 0
+        for i, _ in entries:
+            while i >= end:
+                big *= product
+                product, _, prefixes = next(chunks, (1, (), (1,)))
+                pos, end = end, end + len(prefixes)
+            yield big * prefixes[i - pos]
 
-    def __init__(self, m: int):
-        self.m = m
+    def _value_if_canonical(self, entries: Sequence[tuple[int, int]]) -> int | None:
+        return self._decode(entries) if self._is_canonical(entries) else None
 
-    def __getitem__(self, i: int) -> int:
-        return (i + 1) ** self.m
-
-    def __len__(self) -> int:  # every position is in the table; len() can report no more
-        return sys.maxsize
+    def _is_canonical(self, entries: Sequence[tuple[int, int]]) -> bool:
+        top, d = entries[-1]
+        if top == self._last:  # the top term of a finite base
+            if d > 1:
+                return False
+            entries = entries[:-1]
+        elif self._last is not None and top > self._last:
+            return False
+        radix = self._radix
+        for i, d in entries:  # a loop: all() over a generator reads about 1.3x the time here
+            if d >= radix(i):
+                return False
+        return True
 
 
 class _PowerSequence(BaseSequence):
@@ -448,7 +543,7 @@ class _PowerSequence(BaseSequence):
     def __init__(self, name: str, signature: tuple, m: int):
         super().__init__(name, signature)
         self._m = m
-        self._table = _Powers(m)
+        self._table = _ClosedFormTerms(lambda i: (i + 1) ** m)
 
     def _terms_upto(self, i: int) -> Sequence[int]:
         return self._table
@@ -705,15 +800,39 @@ def m_power(m: int) -> BaseSequence:
 
 
 def factorial() -> BaseSequence:
-    """Weights 1, 2, 6, 24, ... (w_i = (i+1)!)."""
-    return _RadixSequence("factorial", ("factorial",), itertools.count(2))
+    """Weights 1, 2, 6, 24, ... (w_i = (i+1)!, the radices r_i = i + 2).
+
+    A digit word is canonical exactly when every d_i <= t_i = i + 1.
+    """
+    return _RadixSequence(
+        "factorial", ("factorial",), lambda i: i + 2, lambda i: math.factorial(i + 1), _factorial_index
+    )
+
+
+def _factorial_index(x: float) -> int:
+    """About the largest i with log2 (i+1)! <= x, from lgamma(i + 2) = ln (i+1)!."""
+    x *= math.log(2)
+    hi = 1
+    while math.lgamma(hi + 2) <= x:
+        hi *= 2
+    return bisect_right(range(hi), x, key=lambda i: math.lgamma(i + 2)) - 1
 
 
 def power_of(p: int) -> BaseSequence:
-    """Weights w_i = p^i for p >= 2; digit strings then read as ordinary base p."""
+    """Weights w_i = p^i for p >= 2; digit strings then read as ordinary base p.
+
+    A digit word is canonical exactly when every d_i <= t_i = p - 1.
+    """
     if p < 2:
         raise InvalidParameter(f"power base needs p >= 2, got {p}")
-    return _RadixSequence(_name("power", p, ":"), ("power", p), itertools.repeat(p))
+    log2_p = math.log2(p)
+    return _RadixSequence(
+        _name("power", p, ":"),
+        ("power", p),
+        lambda i: p,
+        lambda i: p**i,
+        lambda x: int(x / log2_p),
+    )
 
 
 def fibonacci() -> BaseSequence:
@@ -791,7 +910,9 @@ def make_mixed_radix(bounds: Sequence[int], cyclic: bool = False) -> BaseSequenc
 
     digit_bound(i) is exactly t_i.  A finite base has len(bounds) + 1
     weights; a cyclic one repeats the bounds forever, so [9] with
-    cyclic=True gives the decimal weights 1, 10, 100, ...
+    cyclic=True gives the decimal weights 1, 10, 100, ...  A digit word is
+    canonical exactly when every d_i <= t_i, and in a finite base the top
+    position, which has no bound of its own, holds a digit of at most 1.
     """
     bounds = tuple(bounds)
     if not bounds:
@@ -799,11 +920,27 @@ def make_mixed_radix(bounds: Sequence[int], cyclic: bool = False) -> BaseSequenc
     for i, t in enumerate(bounds):
         if t < 1:
             raise InvalidParameter(f"mixed-radix bound t_{i} must be >= 1, got {t}")
-    radices = (t + 1 for t in (itertools.cycle(bounds) if cyclic else bounds))
+    radices = tuple(t + 1 for t in bounds)
+    period = len(radices)
+    # w_i = span^(i // period) * r_0 * ... * r_{i % period - 1}, span the product of the radices;
+    # a finite base reads i <= period only, where that is the product of its first i radices
+    span = math.prod(radices)
+    log2_prefix = tuple(itertools.accumulate(map(math.log2, radices), initial=0.0))
+
+    def weight(i: int) -> int:
+        k, j = divmod(i, period)
+        return span**k * math.prod(radices[:j])
+
+    def index_estimate(x: float) -> int:
+        k, rest = divmod(x, log2_prefix[-1])
+        return int(k) * period + bisect_right(log2_prefix, rest) - 1
+
     return _RadixSequence(
         _name("mixed-radix", list(bounds)) + (" cyclic" if cyclic else ""),
         ("mixed-radix", bounds, cyclic),
-        radices,
+        (lambda i: radices[i % period]) if cyclic else radices.__getitem__,
+        weight,
+        index_estimate,
         capacity=None if cyclic else len(bounds) + 1,
     )
 

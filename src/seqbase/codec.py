@@ -148,15 +148,17 @@ def encode_greedy(base: BaseSequence, value: int) -> Representation:
     Each family walks to the digits its own way.  In a product base
     (factorial, power-p, mixed radix) they are the remainders of dividing
     by r_0, r_1, ... in turn, a chunk of radices below one CPython limb at
-    a time.  In a Fibonacci or Lucas base the walk goes down from the top
+    a time; the base asks a superior part only for a value past what its
+    chunk table covers, and holds no weight but the one at the table's
+    end.  In a Fibonacci or Lucas base the walk goes down from the top
     pair of weights by compare-and-subtract, stepping w_{i-1} =
     w_{i+1} - w_i and skipping the position below each digit 1.  In every
     other base one superior part finds the top position; below it, where
     the terms the base already holds reach past the rest, the loop bisects
-    them, and elsewhere it takes the superior part of the rest.  A
-    closed-form base holds no term and takes a root per digit; a prime base
+    them, and elsewhere it takes the superior part of the rest.  A square
+    or m-power base holds no term and takes a root per digit; a prime base
     holds the small primes every greedy tail ends in and the terms read so
-    far, so neither builds a term to encode.
+    far.  So no base builds a table of terms to encode.
     """
     return Representation(base, tuple(_greedy_entries(base, value)))
 

@@ -1,3 +1,6 @@
+import os
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +38,23 @@ def all_builtin_bases():
         base_sequences.fibonacci(),
         base_sequences.lucas(),
     ]
+
+
+def run_capped(argv: list[str], limit: int) -> subprocess.CompletedProcess:
+    """`python -m seqbase *argv` in a child whose address space is capped at limit bytes.
+
+    The cap is set by `preexec_fn`, so it binds the child alone.
+    """
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "seqbase", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=cap_address_space,
+        timeout=120,
+    )

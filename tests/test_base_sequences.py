@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqbase import base_sequences as bs
-from seqbase.codec import decode, encode_greedy
+from seqbase.codec import Representation, decode, encode_greedy
 from seqbase.errors import (
     IndexBeyondCapacity,
     InvalidParameter,
@@ -314,13 +314,16 @@ class TestDigitBoundMemo:
             assert [base.term(i) for i in range(len(terms))] == terms
 
     def test_product_bounds_come_with_their_terms(self):
+        # t_i = r_i - 1 = w_{i+1} / w_i - 1, with no term table behind either
         ten = bs.power_of(10)
         assert ten.digit_bound(2000) == 9
-        assert len(ten._cache) == 2002
-        assert ten._bounds == [9] * 2001
+        assert ten.term(2001) == 10 * ten.term(2000) == 10**2001
+        assert [ten.digit_bound(i) for i in range(2001)] == [9] * 2001
         fact = bs.factorial()
         assert fact.term(50) == math.factorial(51)
-        assert fact._bounds == [i + 1 for i in range(50)]
+        assert [fact.digit_bound(i) for i in range(50)] == [fact.term(i + 1) // fact.term(i) - 1 for i in range(50)]
+        assert [fact.digit_bound(i) for i in range(50)] == [i + 1 for i in range(50)]
+        assert ten._cache == fact._cache == []
 
     def test_closed_form_and_sieved_bounds(self):
         # squares: floor(((i+2)^2 - 1) / (i+1)^2) is 3 at 0, 2 at 1, then 1; primes: 1 everywhere (Bertrand)
@@ -678,7 +681,10 @@ class TestChunkTable:
             try:
                 while bits < 2_500:
                     value = (1 << bits) + bits * 7919  # zero runs between a few nonzero digits
-                    if list(encode_greedy(base, value).entries) != successive_division(value, radix):
+                    entries = successive_division(value, radix)
+                    if decode(Representation(base, tuple(entries))) != value:  # may grow the table first
+                        failures.append(("decoder", bits))
+                    if list(encode_greedy(base, value).entries) != entries:
                         failures.append(("encoder", bits))
                     bits += step
             except Exception as exc:  # pragma: no cover - failure path
@@ -696,11 +702,12 @@ class TestChunkTable:
                     for t in threads:
                         t.join(timeout=60)
                     assert not any(t.is_alive() for t in threads)
-                    chunks, _ = base._chunks_for(1)  # the table as the encoders left it
-                    covered = sum(len(radices) for _, radices in chunks)
-                    assert covered == len(base._bounds)
-                    assert [r for _, radices in chunks for r in radices] == [radix(i) for i in range(covered)]
-                    assert all(product < 1 << sys.int_info.bits_per_digit for product, _ in chunks)
+                    chunks = base._chunks  # the table as the encoders left it
+                    covered, reach = base._cover
+                    assert covered == sum(len(radices) for _, radices, _ in chunks) == len(base._bounds)
+                    assert [r for _, radices, _ in chunks for r in radices] == [radix(i) for i in range(covered)]
+                    assert all(product < 1 << sys.int_info.bits_per_digit for product, _, _ in chunks)
+                    assert reach == math.prod(radix(i) for i in range(covered))  # w_covered: the least value not covered
         finally:
             sys.setswitchinterval(interval)
         assert not failures
@@ -719,11 +726,10 @@ class TestChunkTable:
         finally:
             tracemalloc.stop()
         assert rep.top == top
-        assert len(base._cache) == top + 2
-        chunks, top_term = base._chunks_for(value)
-        assert top_term is None
-        assert sum(len(radices) for _, radices in chunks) == len(base._bounds) == top + 1
-        assert peak < 2 * terms_bytes
+        assert base._cache == []
+        assert base._cover == (top + 1, math.factorial(top + 2))  # the radices through the top, and w_{top+1}
+        assert sum(len(radices) for _, radices, _ in base._chunks) == len(base._bounds) == top + 1
+        assert peak < terms_bytes  # less than the terms up to w_{top+1} alone would hold
 
 
 class TestBaseFile:

@@ -1,12 +1,9 @@
 import math
-import os
-import resource
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import run_capped
 from seqbase import cli, codec
 from seqbase.codec import VerificationReport
 
@@ -208,22 +205,26 @@ class TestMemoryCeiling:
 
     def test_decode_fibonacci_100000_zeros_under_400_mb(self):
         # a table of every Fibonacci term up to position 100000 would need about 435 MB
-        limit = 400 * 2**20
-
-        def cap_address_space():  # runs in the child alone
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        src = Path(__file__).resolve().parents[1] / "src"
-        child = subprocess.run(
-            [sys.executable, "-m", "seqbase", "decode", "--base", "fibonacci", "1" + "0" * 100000],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            preexec_fn=cap_address_space,
-            timeout=120,
-        )
+        child = run_capped(["decode", "--base", "fibonacci", "1" + "0" * 100000], 400 * 2**20)
         f, g = 0, 1  # F_0, F_1
         for _ in range(100002):
             f, g = g, f + g
         assert (child.returncode, child.stderr) == (cli.EXIT_OK, "")
         assert child.stdout == unlimited_str(f) + "\n"  # w_100000 = F_100002
+
+    def test_decode_power_of_two_100000_zeros_under_400_mb(self):
+        # a table of every power of two up to 2^100000 would need about 670 MB
+        child = run_capped(["decode", "--base", "power:2", "1" + "0" * 100000], 400 * 2**20)
+        assert (child.returncode, child.stderr) == (cli.EXIT_OK, "")
+        assert child.stdout == unlimited_str(2**100000) + "\n"
+
+    def test_encode_power_of_three_40000_digits_under_400_mb(self):
+        # a table of every power of three up to this value would need about 740 MB
+        child = run_capped(["encode", "--base", "power:3", "1234567890" * 4000], 400 * 2**20)
+        value = 1234567890 * ((10**40000 - 1) // (10**10 - 1))  # the decimal text, 4000 times 1234567890
+        digits = []
+        while value:  # successive division by 3
+            value, d = divmod(value, 3)
+            digits.append(str(d))
+        assert (child.returncode, child.stderr) == (cli.EXIT_OK, "")
+        assert child.stdout == "".join(reversed(digits)) + "\n"

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -173,9 +174,14 @@ class TestCanonicity:
     def test_failing_low_digit_answers_before_a_far_top(self, make):
         # 5 >= w_1 already fails at position 0, so no weight near the top is built
         base = make()
-        for top in (5_761_455, 6_000_000, 10**9):
-            assert not is_canonical(Representation(base, ((0, 5), (top, 1))))
-        assert len(base._cache) < 100
+        tracemalloc.start()
+        try:
+            for top in (5_761_455, 6_000_000, 10**9):
+                assert not is_canonical(Representation(base, ((0, 5), (top, 1))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16  # the terms up to position 5761455 would take hundreds of MB
 
     @given(st.integers(0, 10**5))
     @settings(max_examples=200, deadline=None)
@@ -353,12 +359,15 @@ class TestProductBaseEncode:
         for base in (bs.power_of(2), bs.power_of(2**15), bs.power_of(2**31), bs.factorial(),
                      bs.make_mixed_radix([2**40, 3], cyclic=True)):
             encode_greedy(base, 1 << 5000)
-            chunks, _ = base._chunks_for(1 << 5000)
-            for product, radices in chunks:
+            chunks = base._chunks
+            for product, radices, prefixes in chunks:
                 assert product == math.prod(radices)
                 assert product < limb or len(radices) == 1
-            assert sum(len(radices) for _, radices in chunks) == len(base._bounds)
-        assert bs.power_of(2)._chunks_for(1 << 100)[0][0] == (2**29, (2,) * 29)
+                assert prefixes == tuple(math.prod(radices[:k]) for k in range(len(radices)))
+            assert sum(len(radices) for _, radices, _ in chunks) == len(base._bounds) == base._cover[0]
+        two = bs.power_of(2)
+        encode_greedy(two, 1 << 100)
+        assert two._chunks[0][:2] == (2**29, (2,) * 29)
 
     def test_finite_mixed_radix_every_value(self):
         by_value, cap = enumerate_canonical_forms([1, 2, 6, 24, 120])
