@@ -24,7 +24,6 @@ from .codec import (
     Representation,
     VerificationReport,
     decode,
-    digits_value,
     encode_greedy,
     expansion_superior_parts,
     is_canonical,
@@ -72,7 +71,6 @@ __all__ = [
     "add",
     "decode",
     "delimited",
-    "digits_value",
     "divrem",
     "encode_greedy",
     "expansion_superior_parts",

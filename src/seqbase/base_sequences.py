@@ -2,13 +2,14 @@
 
 Every base exposes weights w_0 = 1 < w_1 < w_2 < ..., and digit position i
 weighs w_i.  All of them answer through `BaseSequence`: `term(i)`,
-`digit_bound(i)`, `superior_part(v)` (the index and weight of the largest
-term <= v) and `max_encodable()`.  How a family finds its terms follows
-from how they grow:
+`digit_bound(i)`, the digit bound t_i = floor((w_{i+1} - 1) / w_i),
+`superior_part(v)` (the index and weight of the largest term <= v) and
+`max_encodable()`.  How a family finds its terms and bounds follows from
+how they grow:
 
 - square and m-power weights have a closed form, (i + 1)^m, and the index
   of the largest one <= v is an integer m-th root, so these bases keep no
-  terms at all;
+  terms at all; a bound is divided out of the two closed-form weights;
 - prime weights come from a sieve of Eratosthenes over the odd numbers
   that at least doubles each time it grows, up to 10^8 and no further;
   the sieve is laid down as copies of a period already struck by 3, 5, 7,
@@ -16,26 +17,29 @@ from how they grow:
   prime counts per block of the sieve, each block counted as the set bits
   of one integer, gives the index of a prime (rank, Jacobson 1989), so a
   superior part builds no term, and terms are extracted into a table only
-  as far as they are read;
+  as far as they are read.  Every bound is 1, since p_{i+1} < 2 p_i
+  (Bertrand);
 - Fibonacci (from 1, 2) and Lucas (from 1, 3) weights are sums,
   w_{i+2} = w_{i+1} + w_i, so w_i = a F_{i-1} + b F_i with a = w_0 and
   b = w_1; these bases hold only their terms below 2^64 and compute any
   other term from the fast-doubling identities of the Fibonacci numbers
-  (Knuth, TAOCP vol. 1, 1.2.8), so they keep no table that grows with v;
+  (Knuth, TAOCP vol. 1, 1.2.8), so they keep no table that grows with v.
+  Their bounds are t_0 = (b - 1) // a and 1 elsewhere;
 - the product families, factorial (r_i = i + 2), power-p (r_i = p) and
   mixed radix (r_i = t_i + 1), are defined by their radices,
   w_{i+1} = r_i * w_i, and have closed forms: w_i = (i+1)!, p^i, or for
   mixed radix a power of the radices' period product times a prefix of
   one period.  They hold no term: a superior part estimates its index
   from log2(v), computes that one weight and steps by radices to bracket
-  v.  A digit word is canonical exactly when every d_i <= t_i = r_i - 1
-  (Knuth, TAOCP vol. 2, 4.1), so the verdict reads no weight.  They keep
-  a chunk table for their greedy and decode kernels: their radices
-  grouped so that each group's product fits one CPython limb, since their
-  greedy digits are the remainders of successive division by r_0, r_1,
-  ..., and w_i is the product of the chunks below i's chunk times a
-  small prefix inside it;
-- an explicit base hands over its listed terms, memoized as they are read.
+  v.  Their bounds are t_i = r_i - 1, and a digit word is canonical
+  exactly when every d_i <= t_i (Knuth, TAOCP vol. 2, 4.1), so the
+  verdict reads no weight.  They keep a chunk table for their greedy and
+  decode kernels: their radices grouped so that each group's product fits
+  one CPython limb, since their greedy digits are the remainders of
+  successive division by r_0, r_1, ..., and w_i is the product of the
+  chunks below i's chunk times a small prefix inside it;
+- an explicit base holds its listed terms as a tuple, indexes and bisects
+  it, and divides each bound out of two of its terms.
 
 Each family also carries the codec's kernels (`_greedy`, `_terms_at`,
 `_decode`, `_value_if_canonical`, `_is_canonical`), so the codec never
@@ -157,15 +161,22 @@ def _fib_pair(n: int) -> tuple[int, int]:
     return f, g
 
 
+def _additive_pair(a: int, b: int, i: int) -> tuple[int, int]:
+    """(w_i, w_{i+1}) of the sums from w_0 = a, w_1 = b, for i >= 1: w_i = a F_{i-1} + b F_i."""
+    f, g = _fib_pair(i - 1)
+    return a * f + b * g, a * g + b * (f + g)
+
+
 class BaseSequence:
     """A weight sequence, safe to share across concurrent readers.
 
-    A family supplies three hooks.  `_terms_upto(i)` grows the terms and
-    returns one table whose items 0..i are w_0..w_i; `term(i)` indexes it.
-    `superior_part(v)` asks `_index_le(v)`.  `digit_bound(i)` answers from
-    an append-only bound memo; past the memo it asks `_bound_past_memo(i)`.
-    `_cache` is the table of the terms held now, perhaps none, which the
-    default greedy kernel reads without growing it.
+    A family supplies three hooks.  `_terms_upto(i)` returns one table whose
+    items 0..i are w_0..w_i, growing the terms if the family grows any;
+    `term(i)` indexes it.  `superior_part(v)` asks `_index_le(v)`, and
+    `digit_bound(i)` asks `_bound(i)` once its argument and capacity checks
+    pass.  No family keeps its bounds: each answers from a closed form or
+    from the terms it holds.  `_cache` is the table of the terms held now,
+    perhaps none, which the default greedy kernel reads without growing it.
 
     It also supplies the codec's kernels, which take a value >= 1 or
     nonempty ascending (position, digit) entries: `_greedy(value)` gives
@@ -177,33 +188,24 @@ class BaseSequence:
     held terms below it, and the canonical check keeps the running prefix
     sum below each next weight.
 
-    This class is the memoized family, and only the explicit bases use it
-    as it is: its hooks pull terms one at a time from an iterator into an
-    append-only list under the lock, and that list is its term table, so
-    once term(i) or a bound has been handed out every later call returns
-    the identical value.  Its bounds are divided out of the terms,
-    floor((w_{i+1} - 1) / w_i), and memoized lazily under the lock up to
-    the position asked for.  Every other family overrides the hooks: the
-    power, sieved and additive families keep no bound memo (the additive
-    ones only their head's), since their positions reach far past what a
-    contiguous memo could hold, and the product families fill theirs with
-    t_i = r_i - 1 as far as their chunk table reaches.
+    The default hooks serve an explicit base, which holds all of its terms
+    in a tuple from construction: they index and bisect that tuple, and a
+    bound is divided out of two terms, floor((w_{i+1} - 1) / w_i).  Such a
+    base never changes, so it needs no lock.  Every other family overrides
+    the hooks it answers in closed form or from a table it grows itself.
     """
 
     def __init__(
         self,
         name: str,
         signature: tuple,
-        weights: Iterable[int] = (),
+        terms: tuple[int, ...] = (),
         capacity: int | None = None,
     ):
         self.name = name
         self.signature = signature
         self.capacity = capacity
-        self._weights = iter(weights)
-        self._cache = []
-        self._bounds: list[int] = []  # the bound memo: digit_bound(i) for i < len
-        self._lock = threading.Lock()
+        self._cache: Sequence[int] = terms or []  # the held terms: an explicit base's tuple, else none yet
         self._max_encodable: int | None = None
 
     def __repr__(self) -> str:
@@ -223,9 +225,6 @@ class BaseSequence:
 
     def digit_bound(self, i: int) -> int:
         """Largest digit allowed at position i: floor((w_{i+1} - 1) / w_i)."""
-        bounds = self._bounds
-        if 0 <= i < len(bounds):
-            return bounds[i]
         if i < 0:
             raise InvalidParameter(f"digit position must be >= 0, got {i}")
         if self.capacity is not None and i + 1 >= self.capacity:
@@ -233,7 +232,7 @@ class BaseSequence:
                 f"digit bound undefined at position {i}: "
                 f"base {self.name} has no term {i + 1}"
             )
-        return self._bound_past_memo(i)
+        return self._bound(i)
 
     def superior_part(self, value: int) -> tuple[int, int]:
         """(index, weight) of the largest term <= value (a finite base's last term past its end)."""
@@ -259,31 +258,20 @@ class BaseSequence:
 
     def _terms_upto(self, i: int) -> Sequence[int]:
         """A table whose items 0..i are w_0..w_i."""
-        cache = self._cache
-        if i >= len(cache):
-            if self.capacity is not None and i >= self.capacity:
-                raise self._no_term(i)
-            with self._lock:
-                while len(cache) <= i:
-                    cache.append(next(self._weights))
-        return cache
+        if i >= len(self._cache):
+            raise self._no_term(i)
+        return self._cache
 
     def _no_term(self, i: int) -> IndexBeyondCapacity:
         return IndexBeyondCapacity(f"base {self.name} has only {self.capacity} terms; no term {i}")
 
-    def _bound_past_memo(self, i: int) -> int:
+    def _bound(self, i: int) -> int:
+        """t_i, for a position i whose w_{i+1} exists."""
         w = self._terms_upto(i + 1)
-        bounds = self._bounds
-        with self._lock:
-            for j in range(len(bounds), i + 1):
-                bounds.append((w[j + 1] - 1) // w[j])
-        return bounds[i]
+        return (w[i + 1] - 1) // w[i]
 
     def _index_le(self, value: int) -> tuple[int, int]:
-        cache, cap = self._cache, self.capacity
-        with self._lock:  # one hold for every term the value needs
-            while (not cache or cache[-1] <= value) and (cap is None or len(cache) < cap):
-                cache.append(next(self._weights))
+        cache = self._cache
         idx = bisect_right(cache, value) - 1
         return idx, cache[idx]
 
@@ -363,10 +351,11 @@ class _RadixSequence(BaseSequence):
     `radix(i)` is r_i, `weight(i)` is w_i, and `index_estimate(x)` is about
     the largest i with log2 w_i <= x.  A superior part estimates its index
     from log2 v, computes that one weight and steps by radices to bracket v.
-    A word is canonical exactly when every d_i <= t_i (Fraenkel, "Systems
-    of numeration", 1985), and a finite base's top term, which has no
-    radix, takes a digit of at most 1, since the positions below it sum to
-    at most w_top - 1; that verdict reads no weight and no table.
+    `digit_bound(i)` is radix(i) - 1 at every position.  A word is
+    canonical exactly when every d_i <= t_i (Fraenkel, "Systems of
+    numeration", 1985), and a finite base's top term, which has no radix,
+    takes a digit of at most 1, since the positions below it sum to at most
+    w_top - 1; that verdict reads no weight and no table.
 
     The chunk table is a list of (R, radices, prefixes) tuples: consecutive
     radices, from position 0 up, with R their product and prefixes the
@@ -377,15 +366,13 @@ class _RadixSequence(BaseSequence):
     below i's chunk times i's prefix in it.  `_cover` is (n, reach): the
     table covers positions 0 .. n - 1, and every value below reach, which
     is w_n, or 2 w_n once the table has grown for a finite base's top term n.
-    The bound memo grows beside the table, so `digit_bound` answers the
-    covered positions from a list (parse asks it once per entry) and any
-    other from the closed form.  Both grow under the lock and are read
-    without it.  The table only grows: the next radix joins the last chunk
-    in place while their product stays below a limb, and otherwise starts
-    a new chunk; `_cover` is replaced after the chunks it counts.  Chunks
-    before the last never change, and each version of the last covers all
-    the positions the one before it did, so a reader that saw a cover
-    reads chunks covering it whenever it looks.
+    The table is the base's only state that grows.  It grows under the lock
+    and is read without it, and only grows: the next radix joins the last
+    chunk in place while their product stays below a limb, and otherwise
+    starts a new chunk; `_cover` is replaced after the chunks it counts.
+    Chunks before the last never change, and each version of the last
+    covers all the positions the one before it did, so a reader that saw a
+    cover reads chunks covering it whenever it looks.
     """
 
     def __init__(
@@ -400,6 +387,7 @@ class _RadixSequence(BaseSequence):
         super().__init__(name, signature, capacity=capacity)
         self._radix, self._index_estimate = radix, index_estimate
         self._terms = _ClosedFormTerms(weight)
+        self._lock = threading.Lock()
         self._last = None if capacity is None else capacity - 1  # a finite base's top position
         self._chunks: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         self._cover = (0, 1)
@@ -411,7 +399,7 @@ class _RadixSequence(BaseSequence):
             raise self._no_term(i)
         return self._terms
 
-    def _bound_past_memo(self, i: int) -> int:
+    def _bound(self, i: int) -> int:
         return self._radix(i) - 1
 
     def _index_le(self, value: int) -> tuple[int, int]:
@@ -438,10 +426,9 @@ class _RadixSequence(BaseSequence):
             covered, held = self._cover
             if n <= covered and reach <= held:  # a finite top may raise the reach over the same positions
                 return
-            chunks, bounds = self._chunks, self._bounds
+            chunks = self._chunks
             for j in range(covered, n):
                 r = self._radix(j)
-                bounds.append(r - 1)
                 if chunks and chunks[-1][0] * r < _LIMB:  # the last chunk still has room
                     product, radices, prefixes = chunks[-1]
                     chunks[-1] = (product * r, radices + (r,), prefixes + (product,))
@@ -496,27 +483,28 @@ class _RadixSequence(BaseSequence):
         each entry costs one multiplication of a big integer, by d * prefix,
         which stays below the chunk's product when d <= t_i.
         """
-        chunks = iter(self._chunks_through(entries[-1][0]))
-        total, big, product, pos, end = 0, 1, 1, 0, 0  # prefixes are those of the chunk over positions pos .. end - 1
+        chunks = self._chunks_through(entries[-1][0])
+        # prefixes are those of chunk k - 1, over positions pos .. end - 1
+        total, big, product, k, pos, end = 0, 1, 1, 0, 0, 0
         for i, d in entries:
             while i >= end:
                 big *= product
                 # past every chunk lies only a finite base's top term, whose weight is big
-                product, _, prefixes = next(chunks, (1, (), (1,)))
-                pos, end = end, end + len(prefixes)
+                product, _, prefixes = chunks[k] if k < len(chunks) else (1, (), (1,))
+                k, pos, end = k + 1, end, end + len(prefixes)
             total += big * (d * prefixes[i - pos])
         return total
 
     def _terms_at(self, entries: Sequence[tuple[int, int]]) -> Iterator[int]:
         # the walk of _decode, which keeps its own copy: a generator shared with
         # it made a 1000-digit decode about a tenth slower
-        chunks = iter(self._chunks_through(entries[-1][0]))
-        big, product, pos, end = 1, 1, 0, 0
+        chunks = self._chunks_through(entries[-1][0])
+        big, product, k, pos, end = 1, 1, 0, 0, 0
         for i, _ in entries:
             while i >= end:
                 big *= product
-                product, _, prefixes = next(chunks, (1, (), (1,)))
-                pos, end = end, end + len(prefixes)
+                product, _, prefixes = chunks[k] if k < len(chunks) else (1, (), (1,))
+                k, pos, end = k + 1, end, end + len(prefixes)
             yield big * prefixes[i - pos]
 
     def _value_if_canonical(self, entries: Sequence[tuple[int, int]]) -> int | None:
@@ -548,10 +536,6 @@ class _PowerSequence(BaseSequence):
     def _terms_upto(self, i: int) -> Sequence[int]:
         return self._table
 
-    def _bound_past_memo(self, i: int) -> int:
-        w = self._table
-        return (w[i + 1] - 1) // w[i]
-
     def _index_le(self, value: int) -> tuple[int, int]:
         k = _iroot(value, self._m)
         return k - 1, k**self._m
@@ -578,6 +562,7 @@ class _PrimeSequence(BaseSequence):
 
     def __init__(self):
         super().__init__("prime", ("prime",))
+        self._lock = threading.Lock()
         odd = _odd_sieve(_PRIME_HELD_BELOW)
         self._sieve = odd, _directory(odd)
         self._cache = array("q", (1, 2, *itertools.compress(range(3, _PRIME_HELD_BELOW, 2), odd[1:])))
@@ -602,7 +587,7 @@ class _PrimeSequence(BaseSequence):
                 self._cache = terms
         return terms
 
-    def _bound_past_memo(self, i: int) -> int:
+    def _bound(self, i: int) -> int:
         # p_{i+1} < 2 p_i (Bertrand), so every bound is 1 and no sieving is needed
         if i >= _PRIME_COUNT:
             raise self._beyond_limit("a term this far out")
@@ -642,28 +627,6 @@ class _PrimeSequence(BaseSequence):
         )
 
 
-class _AdditiveTerms:
-    """The table of w_i = a F_{i-1} + b F_i: the held head, and fast doubling past it."""
-
-    __slots__ = ("head", "a", "b")
-
-    def __init__(self, head: tuple[int, ...], a: int, b: int):
-        self.head, self.a, self.b = head, a, b
-
-    def __getitem__(self, i: int) -> int:
-        if i < len(self.head):
-            return self.head[i]
-        return self.pair(i)[0]
-
-    def pair(self, i: int) -> tuple[int, int]:
-        """(w_i, w_{i+1}) for i >= 1."""
-        f, g = _fib_pair(i - 1)
-        return self.a * f + self.b * g, self.a * g + self.b * (f + g)
-
-    def __len__(self) -> int:  # every position is in the table; len() can report no more
-        return sys.maxsize
-
-
 class _AdditiveSequence(BaseSequence):
     """w_0 = a, w_1 = b > a, w_{i+2} = w_{i+1} + w_i, holding only the terms below 2^64 (the head).
 
@@ -686,18 +649,19 @@ class _AdditiveSequence(BaseSequence):
         head = [a, b]
         while head[-1] + head[-2] < _ADDITIVE_HEAD_LIMIT:
             head.append(head[-1] + head[-2])
-        self._head = tuple(head)
-        self._table = _AdditiveTerms(self._head, a, b)
+        self._head = head = tuple(head)
+        self._a, self._b = a, b
+        # the weight reads the head, and fast doubling past it; it holds no reference to the base
+        self._table = _ClosedFormTerms(lambda i: head[i] if i < len(head) else _additive_pair(a, b, i)[0])
         self._t0 = (b - 1) // a
-        self._bounds += [self._t0] + [1] * (len(head) - 2)  # the head's bounds, read from the memo
         # w_i is about c phi^i, with c = (a / phi + b) / sqrt(5)
         self._log2_c = math.log2((a / _PHI + b) / math.sqrt(5))
 
     def _terms_upto(self, i: int) -> Sequence[int]:
         return self._head if i < len(self._head) else self._table
 
-    def _bound_past_memo(self, i: int) -> int:
-        return 1
+    def _bound(self, i: int) -> int:
+        return 1 if i else self._t0
 
     def _index_le(self, value: int) -> tuple[int, int]:
         head = self._head
@@ -710,7 +674,7 @@ class _AdditiveSequence(BaseSequence):
     def _bracket(self, value: int) -> tuple[int, int, int]:
         """(i, w_i, w_{i+1}) with w_i <= value < w_{i+1}, for value at or past the head's last term."""
         i = max(int((math.log2(value) - self._log2_c) / _LOG2_PHI), len(self._head) - 1)
-        x, y = self._table.pair(i)
+        x, y = _additive_pair(self._a, self._b, i)
         while y <= value:
             i, x, y = i + 1, y, x + y
         while x > value:
@@ -889,7 +853,7 @@ def _name(kind: str, param: object, sep: str = "") -> str:
 
 def make_explicit(terms: Sequence[int]) -> BaseSequence:
     """A finite base over exactly the given terms (must start at 1, strictly increase)."""
-    terms = list(terms)
+    terms = tuple(terms)
     if not terms:
         raise InvalidParameter("explicit base needs at least one term")
     if terms[0] != 1:
@@ -897,12 +861,7 @@ def make_explicit(terms: Sequence[int]) -> BaseSequence:
     for a, b in zip(terms, terms[1:]):
         if b <= a:
             raise NotStrictlyIncreasing(f"terms must strictly increase: {a} then {b}")
-    return BaseSequence(
-        _name("explicit", terms),
-        ("explicit", tuple(terms)),
-        terms,
-        capacity=len(terms),
-    )
+    return BaseSequence(_name("explicit", list(terms)), ("explicit", terms), terms, capacity=len(terms))
 
 
 def make_mixed_radix(bounds: Sequence[int], cyclic: bool = False) -> BaseSequence:

@@ -30,14 +30,18 @@ class Representation:
 
     Positions ascend and stored digits are nonzero, so the most significant
     digit is always >= 1.  The empty representation is the number 0.
+    The entries may be given as any iterable of pairs and are held as a
+    tuple, so equal digits compare equal and hash alike.
     """
 
     base: BaseSequence
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        entries = tuple(self.entries)  # a tuple passes through uncopied
+        object.__setattr__(self, "entries", entries)
         last = -1
-        for pos, d in self.entries:
+        for pos, d in entries:
             if pos <= last:
                 raise InvalidParameter("entry positions must strictly ascend")
             if d < 1:
@@ -78,14 +82,6 @@ class Representation:
     def top(self) -> int:
         """Highest digit position, or -1 for zero."""
         return self.entries[-1][0] if self.entries else -1
-
-    def digit(self, i: int) -> int:
-        for pos, d in self.entries:
-            if pos == i:
-                return d
-            if pos > i:
-                break
-        return 0
 
     def __bool__(self) -> bool:
         return bool(self.entries)

@@ -704,7 +704,8 @@ class TestChunkTable:
                     assert not any(t.is_alive() for t in threads)
                     chunks = base._chunks  # the table as the encoders left it
                     covered, reach = base._cover
-                    assert covered == sum(len(radices) for _, radices, _ in chunks) == len(base._bounds)
+                    assert covered == sum(len(radices) for _, radices, _ in chunks)
+                    assert [base.digit_bound(i) for i in range(covered)] == [radix(i) - 1 for i in range(covered)]
                     assert [r for _, radices, _ in chunks for r in radices] == [radix(i) for i in range(covered)]
                     assert all(product < 1 << sys.int_info.bits_per_digit for product, _, _ in chunks)
                     assert reach == math.prod(radix(i) for i in range(covered))  # w_covered: the least value not covered
@@ -728,7 +729,8 @@ class TestChunkTable:
         assert rep.top == top
         assert base._cache == []
         assert base._cover == (top + 1, math.factorial(top + 2))  # the radices through the top, and w_{top+1}
-        assert sum(len(radices) for _, radices, _ in base._chunks) == len(base._bounds) == top + 1
+        assert sum(len(radices) for _, radices, _ in base._chunks) == top + 1
+        assert [base.digit_bound(i) for i in range(top + 1)] == [i + 1 for i in range(top + 1)]
         assert peak < terms_bytes  # less than the terms up to w_{top+1} alone would hold
 
 

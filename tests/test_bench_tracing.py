@@ -32,3 +32,20 @@ def test_every_traced_method_is_defined_on_base_sequence():
     tracing = _load_tracing()
     for method in tracing.BASE_METHODS:
         assert method in vars(BaseSequence), method
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_no_family_overrides_a_traced_method():
+    # the tracer wraps these methods on BaseSequence alone: a family that defined its own
+    # would bypass the wrapper, and the traced metrics would read 0.0 with no error
+    tracing = _load_tracing()
+    families = list(_subclasses(BaseSequence))
+    assert families
+    for family in families:
+        overridden = sorted(set(tracing.BASE_METHODS) & set(vars(family)))
+        assert not overridden, f"{family.__name__} defines {overridden}"

@@ -364,7 +364,9 @@ class TestProductBaseEncode:
                 assert product == math.prod(radices)
                 assert product < limb or len(radices) == 1
                 assert prefixes == tuple(math.prod(radices[:k]) for k in range(len(radices)))
-            assert sum(len(radices) for _, radices, _ in chunks) == len(base._bounds) == base._cover[0]
+            covered = base._cover[0]
+            assert sum(len(radices) for _, radices, _ in chunks) == covered
+            assert [base.digit_bound(i) for i in range(covered)] == [r - 1 for _, radices, _ in chunks for r in radices]
         two = bs.power_of(2)
         encode_greedy(two, 1 << 100)
         assert two._chunks[0][:2] == (2**29, (2,) * 29)
@@ -390,11 +392,11 @@ class TestResidueLaw:
 
     def test_trailing_two_occurs_at_six(self, square_base):
         # 6 = 4 + 1 + 1 carries two units of weight one
-        assert encode_greedy(square_base, 6).digit(0) == 2
+        assert dict(encode_greedy(square_base, 6).entries).get(0, 0) == 2
 
 
 def decode_digit0(base, value):
-    return encode_greedy(base, value).digit(0)
+    return dict(encode_greedy(base, value).entries).get(0, 0)
 
 
 class TestOrderLaw:
@@ -437,10 +439,22 @@ class TestRepresentation:
         assert a == b
         assert hash(a) == hash(b)
 
+    def test_entries_are_held_as_a_tuple(self, prime_base):
+        pairs = ((0, 1), (2, 1))
+        as_tuple = Representation(prime_base, pairs)
+        assert as_tuple.entries is pairs
+        from_list = Representation(prime_base, list(pairs))
+        assert from_list.entries == pairs and from_list == as_tuple
+        assert hash(from_list) == hash(as_tuple)
+        from_iterator = Representation(prime_base, iter(pairs))  # the range check reads it once
+        assert from_iterator.entries == pairs
+        assert is_canonical(from_iterator) and decode(from_iterator) == 1 + 3
+
     def test_digit_accessor(self, square_base):
         rep = encode_greedy(square_base, 24)
-        assert (rep.digit(0), rep.digit(1), rep.digit(2), rep.digit(3)) == (0, 2, 0, 1)
-        assert rep.digit(7) == 0
+        digit = dict(rep.entries)
+        assert (digit.get(0, 0), digit.get(1, 0), digit.get(2, 0), digit.get(3, 0)) == (0, 2, 0, 1)
+        assert digit.get(7, 0) == 0
 
     def test_bool(self, prime_base):
         assert not Representation(prime_base)

@@ -45,6 +45,18 @@ class TestPurity:
             tracemalloc.stop()
         assert peak < 2**16  # the power:10 weights up to 10^3000 alone take 2 MB
 
+    def test_other_bases_are_pure_below_their_second_weight(self):
+        # w_0 = 1 gives t_0 = w_1 - 1, so every base is pure at upto 1; none of these at upto 2
+        for base in (bs.prime(), bs.square(), bs.m_power(3), bs.fibonacci(), bs.lucas()):
+            assert [is_pure_mixed_radix(base, upto) for upto in (1, 2)] == [True, False], base.name
+        # 1, 2, 4 is binary; w_3 = 7 is not 2 * 4, and there is no w_4
+        explicit = bs.make_explicit([1, 2, 4, 7])
+        assert [is_pure_mixed_radix(explicit, upto) for upto in (1, 2, 3, 4)] == [True, True, False, False]
+        assert not is_pure_mixed_radix(bs.make_explicit([1]), 1)  # no w_1
+        trace = ArithTrace()
+        assert decode(add(encode_greedy(PRIME, 1), encode_greedy(PRIME, 1), trace=trace)) == 2
+        assert trace.path == "digitwise"
+
     def test_upto_must_be_positive(self):
         with pytest.raises(InvalidParameter):
             is_pure_mixed_radix(FACTORIAL, 0)

@@ -83,7 +83,7 @@ class TestWordVerdict:
 
     @pytest.mark.parametrize("make, radix, last", BASES)
     def test_bounds_on_a_fresh_base(self, make, radix, last):
-        # the verdict grows no table and no bound memo: it reads each bound from the radices
+        # neither the verdict nor digit_bound grows a table: each reads the bound from the radices
         base = make()
         positions = range(2000) if last is None else range(last)
         for i in positions:
@@ -93,7 +93,8 @@ class TestWordVerdict:
         if last is not None:
             assert is_canonical(Representation(base, ((last, 1),)))
             assert not is_canonical(Representation(base, ((last, 2),)))
-        assert base._cover == (0, 1) and base._bounds == []
+        assert [base.digit_bound(i) for i in positions] == [radix(i) - 1 for i in positions]
+        assert base._cover == (0, 1)
 
     def test_factorial_words_at_and_past_each_bound(self):
         # digit choices 0, t_i and t_i + 1 reach the bounds that 0..3 does not
