@@ -41,11 +41,13 @@ how they grow:
 - an explicit base holds its listed terms as a tuple, indexes and bisects
   it, and divides each bound out of two of its terms.
 
-Each family also carries the codec's kernels (`_greedy`, `_terms_at`,
-`_decode`, `_value_if_canonical`, `_is_canonical`), so the codec never
-asks which family it holds: the term table serves the prime, square,
-m-power and explicit bases, the product families divide by and walk up their radix
-chunks, and the additive bases walk their recurrence.
+Each family gives one weight on request, `_term(i)`, from whatever it
+holds or computes, and carries the codec's kernels (`_greedy`,
+`_terms_at`, `_decode`, `_value_if_canonical`, `_is_canonical`), so the
+codec never asks which family it holds: the prime, square, m-power and
+explicit bases read their weights one at a time, the product families
+divide by and walk up their radix chunks, and the additive bases walk
+their recurrence.
 """
 
 from __future__ import annotations
@@ -170,29 +172,29 @@ def _additive_pair(a: int, b: int, i: int) -> tuple[int, int]:
 class BaseSequence:
     """A weight sequence, safe to share across concurrent readers.
 
-    A family supplies three hooks.  `_terms_upto(i)` returns one table whose
-    items 0..i are w_0..w_i, growing the terms if the family grows any;
-    `term(i)` indexes it.  `superior_part(v)` asks `_index_le(v)`, and
-    `digit_bound(i)` asks `_bound(i)` once its argument and capacity checks
-    pass.  No family keeps its bounds: each answers from a closed form or
-    from the terms it holds.  `_cache` is the table of the terms held now,
-    perhaps none, which the default greedy kernel reads without growing it.
+    A family supplies three hooks, which `term(i)`, `digit_bound(i)` and
+    `superior_part(v)` ask once their argument and capacity checks pass:
+    `_term(i)` is the weight w_i, raising IndexBeyondCapacity for a
+    position the base has no term at; `_bound(i)` is t_i; and
+    `_index_le(v)` is the index and weight of the largest term <= v.  No
+    family keeps its bounds: each answers from a closed form or from its
+    weights.
 
     It also supplies the codec's kernels, which take a value >= 1 or
     nonempty ascending (position, digit) entries: `_greedy(value)` gives
     the greedy entries, `_terms_at(entries)` the weights at the entries'
     positions, `_decode(entries)` their digit-weighted sum,
     `_value_if_canonical` the value of canonical entries or None, and
-    `_is_canonical` the verdict alone.  The defaults here read the term
-    table: the greedy loop divides by the superior part and bisects the
-    held terms below it, and the canonical check keeps the running prefix
-    sum below each next weight.
+    `_is_canonical` the verdict alone.  The defaults here ask `_term` for
+    each weight they read: the greedy loop divides each rest by its
+    superior part, and the canonical check keeps the running prefix sum
+    below each next weight.
 
     The default hooks serve an explicit base, which holds all of its terms
     in a tuple from construction: they index and bisect that tuple, and a
     bound is divided out of two terms, floor((w_{i+1} - 1) / w_i).  Such a
     base never changes, so it needs no lock.  Every other family overrides
-    the hooks it answers in closed form or from a table it grows itself.
+    the hooks it answers in closed form or from what it holds.
     """
 
     def __init__(
@@ -205,7 +207,7 @@ class BaseSequence:
         self.name = name
         self.signature = signature
         self.capacity = capacity
-        self._cache: Sequence[int] = terms or []  # the held terms: an explicit base's tuple, else none yet
+        self._cache: Sequence[int] = terms or []  # the held terms: an explicit base's tuple, the prime table, else none
         self._max_encodable: int | None = None
 
     def __repr__(self) -> str:
@@ -221,7 +223,7 @@ class BaseSequence:
         """The weight w_i."""
         if i < 0:
             raise InvalidParameter(f"term index must be >= 0, got {i}")
-        return self._terms_upto(i)[i]
+        return self._term(i)
 
     def digit_bound(self, i: int) -> int:
         """Largest digit allowed at position i: floor((w_{i+1} - 1) / w_i)."""
@@ -256,19 +258,19 @@ class BaseSequence:
             self._max_encodable = total
         return self._max_encodable
 
-    def _terms_upto(self, i: int) -> Sequence[int]:
-        """A table whose items 0..i are w_0..w_i."""
-        if i >= len(self._cache):
-            raise self._no_term(i)
-        return self._cache
+    def _term(self, i: int) -> int:
+        """w_i, for i >= 0; a position with no term raises IndexBeyondCapacity."""
+        try:
+            return self._cache[i]
+        except IndexError:
+            raise self._no_term(i) from None
 
     def _no_term(self, i: int) -> IndexBeyondCapacity:
         return IndexBeyondCapacity(f"base {self.name} has only {self.capacity} terms; no term {i}")
 
     def _bound(self, i: int) -> int:
         """t_i, for a position i whose w_{i+1} exists."""
-        w = self._terms_upto(i + 1)
-        return (w[i + 1] - 1) // w[i]
+        return (self._term(i + 1) - 1) // self._term(i)
 
     def _index_le(self, value: int) -> tuple[int, int]:
         cache = self._cache
@@ -276,34 +278,26 @@ class BaseSequence:
         return idx, cache[idx]
 
     def _greedy(self, value: int) -> list[tuple[int, int]]:
-        """Ascending greedy entries of value >= 1: divide by the superior part, bisecting held terms below it."""
-        i, wi = self.superior_part(value)
-        w = self._cache  # the terms the base holds now, perhaps none
-        reach = w[-1] if w else 0
+        """Ascending greedy entries of value >= 1: divide each rest by its superior part."""
         entries: list[tuple[int, int]] = []
         rest = value
-        while True:
+        while rest:
+            i, wi = self.superior_part(rest)
             d, rest = divmod(rest, wi)
             entries.append((i, d))
-            if not rest:
-                break
-            if rest < reach:  # the held terms reach past rest
-                i = bisect_right(w, rest) - 1
-                wi = w[i]
-            else:
-                i, wi = self.superior_part(rest)
         entries.reverse()
         return entries
 
     def _terms_at(self, entries: Sequence[tuple[int, int]]) -> Iterable[int]:
         """w_i at each position i of the ascending entries, in their order."""
-        w = self._terms_upto(entries[-1][0])
-        return [w[i] for i, _ in entries]
+        term = self._term
+        return [term(i) for i, _ in entries]
 
     def _decode(self, entries: Sequence[tuple[int, int]]) -> int:
         """The digit-weighted sum of the ascending entries."""
-        w = self._terms_upto(entries[-1][0])
-        return sum(d * w[i] for i, d in entries)
+        term = self._term
+        # from the top down: a top the base cannot reach raises before a lower weight is built
+        return sum(d * term(i) for i, d in reversed(entries))
 
     def _value_if_canonical(self, entries: Sequence[tuple[int, int]]) -> int | None:
         """The value of the ascending entries if they are its greedy form, else None."""
@@ -311,14 +305,15 @@ class BaseSequence:
         last = -1 if cap is None else cap - 1  # a finite base's top term has no successor to test against
         if cap is not None and entries[-1][0] > last:
             return None
-        w: Sequence[int] = ()
+        term = self._term
         running = 0
         for i, d in entries:
-            j = i if i == last else i + 1  # the highest weight this entry reads
-            if j >= len(w):  # grow the table only as far as the entries get before one fails
-                w = self._terms_upto(j)
-            running += d * w[i]
-            if i != last and running >= w[i + 1]:
+            if i == last:
+                running += d * term(i)
+                continue
+            ceiling = term(i + 1)  # before w_i: a position past the base's reach raises before w_i is built
+            running += d * term(i)
+            if running >= ceiling:
                 return None
         if cap is not None and running > self.max_encodable():
             return None
@@ -327,21 +322,6 @@ class BaseSequence:
     def _is_canonical(self, entries: Sequence[tuple[int, int]]) -> bool:
         """Whether the ascending entries are the greedy form of their value."""
         return self._value_if_canonical(entries) is not None
-
-
-class _ClosedFormTerms:
-    """The table of w_i = weight(i), computed per lookup."""
-
-    __slots__ = ("weight",)
-
-    def __init__(self, weight: Callable[[int], int]):
-        self.weight = weight
-
-    def __getitem__(self, i: int) -> int:
-        return self.weight(i)
-
-    def __len__(self) -> int:  # every position is in the table; len() can report no more
-        return sys.maxsize
 
 
 class _RadixSequence(BaseSequence):
@@ -385,8 +365,7 @@ class _RadixSequence(BaseSequence):
         capacity: int | None = None,
     ):
         super().__init__(name, signature, capacity=capacity)
-        self._radix, self._index_estimate = radix, index_estimate
-        self._terms = _ClosedFormTerms(weight)
+        self._radix, self._weight, self._index_estimate = radix, weight, index_estimate
         self._lock = threading.Lock()
         self._last = None if capacity is None else capacity - 1  # a finite base's top position
         self._chunks: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
@@ -394,10 +373,10 @@ class _RadixSequence(BaseSequence):
         if capacity is not None:
             self._max_encodable = 2 * weight(self._last) - 1  # w_top + sum of t_i w_i below it, which is w_top - 1
 
-    def _terms_upto(self, i: int) -> Sequence[int]:
+    def _term(self, i: int) -> int:
         if self._last is not None and i > self._last:
             raise self._no_term(i)
-        return self._terms
+        return self._weight(i)
 
     def _bound(self, i: int) -> int:
         return self._radix(i) - 1
@@ -407,7 +386,7 @@ class _RadixSequence(BaseSequence):
         i = self._index_estimate(math.log2(value))
         if last is not None:
             i = min(i, last)
-        w = self._terms[i]
+        w = self._weight(i)
         while i != last and w * radix(i) <= value:
             w *= radix(i)
             i += 1
@@ -439,7 +418,7 @@ class _RadixSequence(BaseSequence):
     def _chunks_through(self, top: int) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
         """The chunk table, grown if it does not hold the radices through position top."""
         if top + (top != self._last) > self._cover[0]:  # position top needs a radix unless it is a finite top
-            self._extend(top, self._terms_upto(top)[top])
+            self._extend(top, self._term(top))
         return self._chunks
 
     def _greedy(self, value: int) -> list[tuple[int, int]]:
@@ -531,10 +510,9 @@ class _PowerSequence(BaseSequence):
     def __init__(self, name: str, signature: tuple, m: int):
         super().__init__(name, signature)
         self._m = m
-        self._table = _ClosedFormTerms(lambda i: (i + 1) ** m)
 
-    def _terms_upto(self, i: int) -> Sequence[int]:
-        return self._table
+    def _term(self, i: int) -> int:
+        return (i + 1) ** self._m
 
     def _index_le(self, value: int) -> tuple[int, int]:
         k = _iroot(value, self._m)
@@ -549,11 +527,14 @@ class _PrimeSequence(BaseSequence):
     counts per 4096-byte block (`_directory`).  A superior part of a value
     past the held terms finds the last prime <= v in the sieve, and its
     index from the directory entry at the nearest block edge plus or minus
-    one count between that edge and the prime, so it builds no term.  The term table `_cache` starts with the primes below 512,
-    which hold every greedy tail (no prime gap below 10^8 exceeds 220), and
-    is extended from the sieve only when a term past it is read: to the end
-    of that term's block, and to at least twice its length, so that
-    reading the terms in ascending order copies each one O(1) times.
+    one count between that edge and the prime, so it builds no term; a
+    value below the last held term bisects the held terms instead.
+
+    `_term(i)` indexes the term table `_cache`, which starts with the
+    primes below 512, where every greedy tail ends (no prime gap below
+    10^8 exceeds 220).  A term past the table extends it from the sieve:
+    to the end of that term's block, and to at least twice its length, so
+    that reading the terms in ascending order copies each one O(1) times.
 
     A grown sieve and its directory replace the old pair in one assignment,
     and an extended term table replaces the old one in another, so a
@@ -567,10 +548,10 @@ class _PrimeSequence(BaseSequence):
         self._sieve = odd, _directory(odd)
         self._cache = array("q", (1, 2, *itertools.compress(range(3, _PRIME_HELD_BELOW, 2), odd[1:])))
 
-    def _terms_upto(self, i: int) -> Sequence[int]:
+    def _term(self, i: int) -> int:
         terms = self._cache
         if i < len(terms):
-            return terms
+            return terms[i]
         if i > _PRIME_COUNT:
             raise self._beyond_limit("a term this far out")
         odd, counts = self._sieve
@@ -585,7 +566,7 @@ class _PrimeSequence(BaseSequence):
                 start = (terms[-1] + 1) // 2  # the odd number after the last held term
                 terms = terms + array("q", itertools.compress(range(2 * start + 1, 2 * end, 2), odd[start:end]))
                 self._cache = terms
-        return terms
+        return terms[i]
 
     def _bound(self, i: int) -> int:
         # p_{i+1} < 2 p_i (Bertrand), so every bound is 1 and no sieving is needed
@@ -649,16 +630,15 @@ class _AdditiveSequence(BaseSequence):
         head = [a, b]
         while head[-1] + head[-2] < _ADDITIVE_HEAD_LIMIT:
             head.append(head[-1] + head[-2])
-        self._head = head = tuple(head)
+        self._head = tuple(head)
         self._a, self._b = a, b
-        # the weight reads the head, and fast doubling past it; it holds no reference to the base
-        self._table = _ClosedFormTerms(lambda i: head[i] if i < len(head) else _additive_pair(a, b, i)[0])
         self._t0 = (b - 1) // a
         # w_i is about c phi^i, with c = (a / phi + b) / sqrt(5)
         self._log2_c = math.log2((a / _PHI + b) / math.sqrt(5))
 
-    def _terms_upto(self, i: int) -> Sequence[int]:
-        return self._head if i < len(self._head) else self._table
+    def _term(self, i: int) -> int:
+        head = self._head
+        return head[i] if i < len(head) else _additive_pair(self._a, self._b, i)[0]
 
     def _bound(self, i: int) -> int:
         return 1 if i else self._t0
@@ -718,8 +698,9 @@ class _AdditiveSequence(BaseSequence):
             yield x
 
     def _decode(self, entries: Sequence[tuple[int, int]]) -> int:
-        if entries[-1][0] < len(self._head):
-            return super()._decode(entries)
+        head = self._head
+        if entries[-1][0] < len(head):
+            return sum(d * head[i] for i, d in entries)
         return sum(d * w for (_, d), w in zip(entries, self._terms_at(entries)))
 
     def _value_if_canonical(self, entries: Sequence[tuple[int, int]]) -> int | None:

@@ -49,14 +49,14 @@ def _natural(s: str, what: str) -> int:
 def _render_format(args) -> digit_text.RenderFormat:
     if getattr(args, "compact", False):
         return digit_text.COMPACT
-    if getattr(args, "sep", None):
+    if getattr(args, "sep", None) is not None:
         return digit_text.delimited(args.sep)
     return digit_text.AUTO
 
 
 def _parse_format(args) -> digit_text.RenderFormat:
     # operands always use the auto grammar; --sep only changes the separator
-    if getattr(args, "sep", None):
+    if getattr(args, "sep", None) is not None:
         return digit_text.RenderFormat("auto", args.sep)
     return digit_text.AUTO
 

@@ -31,22 +31,27 @@ class Representation:
     Positions ascend and stored digits are nonzero, so the most significant
     digit is always >= 1.  The empty representation is the number 0.
     The entries may be given as any iterable of pairs and are held as a
-    tuple, so equal digits compare equal and hash alike.
+    tuple of tuples, so equal digits compare equal and hash alike.
     """
 
     base: BaseSequence
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        entries = tuple(self.entries)  # a tuple passes through uncopied
-        object.__setattr__(self, "entries", entries)
         last = -1
-        for pos, d in entries:
-            if pos <= last:
-                raise InvalidParameter("entry positions must strictly ascend")
-            if d < 1:
-                raise InvalidParameter(f"stored digits must be >= 1, got {d} at {pos}")
-            last = pos
+        try:
+            entries = tuple(self.entries)  # a tuple passes through uncopied
+            if {*map(type, entries)} - {tuple}:  # some pair is not a tuple: hold each one as a tuple
+                entries = tuple(map(tuple, entries))
+            for pos, d in entries:
+                if pos <= last:
+                    raise InvalidParameter("entry positions must strictly ascend")
+                if d < 1:
+                    raise InvalidParameter(f"stored digits must be >= 1, got {d} at {pos}")
+                last = pos
+        except (TypeError, ValueError) as e:  # an entry that is not a (position, digit) pair of numbers
+            raise InvalidParameter(f"entries must be (position, digit) pairs: {e}") from None
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_digits(cls, base: BaseSequence, digits: Iterable[int]) -> "Representation":
@@ -149,12 +154,11 @@ def encode_greedy(base: BaseSequence, value: int) -> Representation:
     end.  In a Fibonacci or Lucas base the walk goes down from the top
     pair of weights by compare-and-subtract, stepping w_{i-1} =
     w_{i+1} - w_i and skipping the position below each digit 1.  In every
-    other base one superior part finds the top position; below it, where
-    the terms the base already holds reach past the rest, the loop bisects
-    them, and elsewhere it takes the superior part of the rest.  A square
-    or m-power base holds no term and takes a root per digit; a prime base
-    holds the small primes every greedy tail ends in and the terms read so
-    far.  So no base builds a table of terms to encode.
+    other base the loop divides each rest by its superior part.  A square
+    or m-power base holds no term and takes a root per digit; a prime or
+    explicit base bisects the terms it holds once the rest is below the
+    last of them, and a prime base holds the small primes every greedy
+    tail ends in.  So no base builds a table of terms to encode.
     """
     return Representation(base, tuple(_greedy_entries(base, value)))
 

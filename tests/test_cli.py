@@ -78,6 +78,8 @@ class TestUsageErrors:
             ["encode", "--base", "factorial", "-3"],
             ["encode", "--base", "mpower:1001", "5"],  # m-power exponents stop at 1000
             ["encode", "--base", "mpower:100000000", "5"],
+            ["encode", "--base", "factorial", "--sep", "", "100"],  # an empty separator is refused, not ignored
+            ["decode", "--base", "factorial", "--sep", "", "4020"],
         ],
     )
     def test_exit_two(self, capsys, argv):

@@ -169,6 +169,22 @@ class TestCanonicity:
                 is_canonical(Representation(prime_base, entries))
         with pytest.raises(IndexBeyondCapacity):
             decode(Representation(prime_base, ((0, 5), (6_000_000, 1))))
+        # is_canonical at pi(10^8) needs w_5761456, which does not exist; decode there
+        # reads w_5761455 = 99999989, so it is asked one position further.  Both read
+        # the missing weight first: sieving to 10^8 for the terms below it takes seconds and 160 MB.
+        for check, entries in [
+            (is_canonical, ((0, 1), (5_761_455, 1))),
+            (decode, ((5_761_454, 1), (5_761_456, 1))),
+        ]:
+            base = bs.prime()
+            tracemalloc.start()
+            try:
+                with pytest.raises(IndexBeyondCapacity):
+                    check(Representation(base, entries))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
     @pytest.mark.parametrize("make", [bs.prime, bs.factorial])
     def test_failing_low_digit_answers_before_a_far_top(self, make):
@@ -432,6 +448,12 @@ class TestRepresentation:
             Representation(prime_base, ((2, 1), (1, 1)))
         with pytest.raises(InvalidParameter):
             Representation(prime_base, ((0, 0),))
+        for entries in (5, [(0, 1, 5)], [(0,)], [5], [("a", 1)], [(0, None)], [[0, 1], [1, "b"]]):
+            with pytest.raises(InvalidParameter):  # not a pair, or items that do not compare with numbers
+                Representation(prime_base, entries)
+        as_lists = Representation(prime_base, [[0, 1], [2, 1]])  # inner lists are held as tuples
+        assert as_lists.entries == ((0, 1), (2, 1)) and as_lists == Representation(prime_base, ((0, 1), (2, 1)))
+        assert hash(as_lists) == hash(Representation(prime_base, ((0, 1), (2, 1))))
 
     def test_equality_across_instances(self):
         a = encode_greedy(bs.prime(), 27)
