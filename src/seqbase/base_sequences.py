@@ -737,6 +737,7 @@ def square() -> BaseSequence:
 
 def m_power(m: int) -> BaseSequence:
     """Weights w_i = (i+1)^m for an exponent 2 <= m <= 1000."""
+    _check_int("m-power exponent m", m)
     if m < 2:
         raise InvalidParameter(f"m-power base needs m >= 2, got {m}")
     if m > _MPOWER_MAX_M:  # the value itself may be too long to print
@@ -768,6 +769,7 @@ def power_of(p: int) -> BaseSequence:
 
     A digit word is canonical exactly when every d_i <= t_i = p - 1.
     """
+    _check_int("power base p", p)
     if p < 2:
         raise InvalidParameter(f"power base needs p >= 2, got {p}")
     log2_p = math.log2(p)
@@ -824,6 +826,13 @@ def make_builtin(kind: str, **params) -> BaseSequence:
     return factory(*(params[k] for k in wanted))
 
 
+def _check_int(what: str, *values) -> None:
+    """InvalidParameter unless every value is an int: weights, bounds, positions and values are naturals."""
+    for v in values:
+        if not isinstance(v, int):
+            raise InvalidParameter(f"{what}: expected an integer, got {type(v).__name__}")
+
+
 def _name(kind: str, param: object, sep: str = "") -> str:
     """A base name spelling out param; a number too long to print raises InvalidParameter."""
     try:
@@ -837,6 +846,7 @@ def make_explicit(terms: Sequence[int]) -> BaseSequence:
     terms = tuple(terms)
     if not terms:
         raise InvalidParameter("explicit base needs at least one term")
+    _check_int("explicit base terms", *terms)
     if terms[0] != 1:
         raise NotStartingAtOne(f"explicit base must start at 1, got {terms[0]}")
     for a, b in zip(terms, terms[1:]):
@@ -858,6 +868,7 @@ def make_mixed_radix(bounds: Sequence[int], cyclic: bool = False) -> BaseSequenc
     if not bounds:
         raise InvalidParameter("mixed-radix base needs at least one bound")
     for i, t in enumerate(bounds):
+        _check_int(f"mixed-radix bound t_{i}", t)
         if t < 1:
             raise InvalidParameter(f"mixed-radix bound t_{i} must be >= 1, got {t}")
     radices = tuple(t + 1 for t in bounds)

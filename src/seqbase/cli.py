@@ -86,7 +86,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     base = resolve_base(args.base)
-    rep = digit_text.parse(base, args.digits, _parse_format(args))
+    rep = digit_text.parse(base, args.text, _parse_format(args))
     print(codec.decode(rep))
     return EXIT_OK
 
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="read a digit string back to a decimal value")
     _add_base_arg(p)
     _add_format_args(p)
-    p.add_argument("digits", help="digit string (auto grammar)")
+    p.add_argument("text", metavar="digits", help="digit string (auto grammar)")
     p.set_defaults(func=_cmd_decode)
 
     for name, blurb in (

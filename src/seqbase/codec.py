@@ -5,83 +5,50 @@ produces: every prefix value (the sum of digits below a position, weighted)
 stays strictly below that position's weight.
 
 This module keeps the contracts: the argument checks, the errors, the
-capacity of a finite base and `Representation`.  The loops themselves are
-kernels of each base family (`BaseSequence._greedy`, `_terms_at`,
-`_decode`, `_value_if_canonical` and `_is_canonical` in
-`base_sequences`), so the codec reaches every family the same way and
-reads none of its tables.
+capacity of a finite base and `Representation`, a number's sparse digits.
+The loops themselves are kernels of each base family (`_greedy`,
+`_terms_at`, `_decode`, `_value_if_canonical` and `_is_canonical` of
+`base_sequences.BaseSequence`), so the codec reaches every family the
+same way and reads none of its tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
-from .base_sequences import BaseSequence
+from .base_sequences import BaseSequence, _check_int
 from .errors import IndexBeyondCapacity, InvalidParameter
-
-_DENSE_LIMIT = 10**7  # most positions a dense digit vector may have
 
 
 @dataclass(frozen=True)
 class Representation:
-    """Digit vector over a BaseSequence, stored sparsely as (position, digit) pairs.
+    """A number's digits over a BaseSequence, held only as its (position, digit) pairs of integers.
 
     Positions ascend and stored digits are nonzero, so the most significant
-    digit is always >= 1.  The empty representation is the number 0.
-    The entries may be given as any iterable of pairs and are held as a
-    tuple of tuples, so equal digits compare equal and hash alike.
+    digit is always >= 1; the empty representation is the number 0.  The
+    entries may be any iterable of pairs and are held as a tuple of tuples,
+    so equal digits compare equal and hash alike.
     """
 
     base: BaseSequence
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        last = -1
         try:
             entries = tuple(self.entries)  # a tuple passes through uncopied
-            if {*map(type, entries)} - {tuple}:  # some pair is not a tuple: hold each one as a tuple
-                entries = tuple(map(tuple, entries))
-            for pos, d in entries:
-                if pos <= last:
-                    raise InvalidParameter("entry positions must strictly ascend")
-                if d < 1:
-                    raise InvalidParameter(f"stored digits must be >= 1, got {d} at {pos}")
-                last = pos
-        except (TypeError, ValueError) as e:  # an entry that is not a (position, digit) pair of numbers
+            if not _well_formed(entries):
+                entries = tuple(map(tuple, entries))  # hold every pair as a tuple, then check again
+                if not _well_formed(entries):
+                    raise InvalidParameter("entries need integer positions that ascend and digits >= 1")
+        except (TypeError, ValueError) as e:  # an entry that is not a (position, digit) pair
             raise InvalidParameter(f"entries must be (position, digit) pairs: {e}") from None
         object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_digits(cls, base: BaseSequence, digits: Iterable[int]) -> "Representation":
-        """Build from a little-endian digit vector; trailing zeros are dropped."""
-        entries = []
-        for i, d in enumerate(digits):
-            if d < 0:
-                raise InvalidParameter(f"digits must be >= 0, got {d} at position {i}")
-            if d:
-                entries.append((i, d))
-        return cls(base, tuple(entries))
-
-    @cached_property
-    def digits(self) -> tuple[int, ...]:
-        """Dense little-endian digit vector (empty for zero).
-
-        A vector of more than 10^7 positions is refused with
-        IndexBeyondCapacity: a closed-form base can encode a value whose top
-        position is far too high to spell out digit by digit.
-        """
-        if not self.entries:
-            return ()
-        if self.entries[-1][0] >= _DENSE_LIMIT:
-            raise IndexBeyondCapacity(
-                f"a digit vector of more than {_DENSE_LIMIT} positions is too wide to build"
-            )
-        dense = [0] * (self.entries[-1][0] + 1)
-        for pos, d in self.entries:
-            dense[pos] = d
-        return tuple(dense)
+        """Build from a little-endian digit vector; zeros are dropped and a negative digit is refused."""
+        return cls(base, tuple((i, d) for i, d in enumerate(digits) if d))
 
     @property
     def top(self) -> int:
@@ -90,6 +57,17 @@ class Representation:
 
     def __bool__(self) -> bool:
         return bool(self.entries)
+
+
+def _well_formed(entries: tuple) -> bool:
+    """True when every entry is a tuple of two integers, positions >= 0 strictly ascending and digits >= 1."""
+    last = -1
+    for pair in entries:
+        pos, d = pair
+        if not (type(pair) is tuple and isinstance(pos, int) and isinstance(d, int) and last < pos and d >= 1):
+            return False
+        last = pos
+    return True
 
 
 @dataclass
@@ -133,6 +111,7 @@ def _check_encodable(base: BaseSequence, value: int) -> None:
 
 
 def _greedy_entries(base: BaseSequence, value: int) -> list[tuple[int, int]]:
+    _check_int("a value to encode", value)
     if value < 0:
         raise InvalidParameter(f"cannot encode a negative value: {value}")
     _check_encodable(base, value)
@@ -207,6 +186,7 @@ def verify_range(base: BaseSequence, lo: int, hi: int) -> VerificationReport:
     A value whose greedy digits are not canonical counts as a canonicity
     violation; only canonical digits are decoded for the round trip.
     """
+    _check_int("range ends", lo, hi)
     if lo < 0:
         raise InvalidParameter(f"range start must be >= 0, got {lo}")
     if lo > hi:

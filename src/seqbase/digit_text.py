@@ -11,7 +11,8 @@ prime, square and m-power bases write a modest number as a long string of
 mostly zeros.  It builds the (position, digit) entries straight from the
 string, with no dense digit vector, and checks the capacity of a finite
 base and the digit bounds at the nonzero positions, lowest first.
-Rendering still writes every position.
+Rendering still writes every position: a cheaper renderer waits for a
+wall-time cap on the benchmark's unclocked output checks (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .base_sequences import BaseSequence
+from .base_sequences import BaseSequence, _check_int
 from .codec import Representation, encode_greedy
 from .errors import (
     CompactOverflow,
@@ -31,6 +32,8 @@ from .errors import (
 )
 
 _NONZERO = re.compile("[1-9]")
+
+_WRITE_LIMIT = 10**7  # most positions a written digit string may have
 
 
 @dataclass(frozen=True)
@@ -61,19 +64,33 @@ def render(rep: Representation, fmt: RenderFormat = AUTO) -> str:
     """Digit string of a representation, most significant digit first."""
     if not rep.entries:
         return "0"
-    msd_first = rep.digits[::-1]
+    digits = _dense(rep, rep.top + 1)
     largest = max(d for _, d in rep.entries)
-    mode = fmt.mode
-    if mode == "auto":
-        mode = "compact" if largest <= 9 else "delimited"
-    if mode == "compact":
-        if largest > 9:
-            raise CompactOverflow(f"digit {largest} cannot be a single character")
+    if fmt.mode == "compact" and largest > 9:
+        raise CompactOverflow(f"digit {largest} cannot be a single character")
+    return _spell(digits, fmt.separator, fmt.mode == "compact" or (fmt.mode == "auto" and largest <= 9))
+
+
+def _dense(rep: Representation, width: int) -> list[int]:
+    """Digits 0 .. width - 1 from the entries; past 10^7 positions the string would be too long to write."""
+    if width > _WRITE_LIMIT:
+        raise IndexBeyondCapacity(f"a digit string of more than {_WRITE_LIMIT} positions is too long to write")
+    digits = [0] * width
+    for pos, d in rep.entries:
+        digits[pos] = d
+    return digits
+
+
+def _spell(digits: list[int], sep: str = ".", compact: bool | None = None) -> str:
+    """Little-endian digits, most significant first, as render writes them; compact by default if all are <= 9."""
+    msd_first = digits[::-1]
+    if compact is None:
+        compact = max(digits) <= 9
+    if compact:
         return "".join(str(d) for d in msd_first)
     if len(msd_first) == 1:
-        # single field: separator prefix keeps the delimited language disjoint
-        return fmt.separator + str(msd_first[0])
-    return fmt.separator.join(str(d) for d in msd_first)
+        return sep + str(msd_first[0])
+    return sep.join(str(d) for d in msd_first)
 
 
 def parse(base: BaseSequence, s: str, fmt: RenderFormat = AUTO) -> Representation:
@@ -158,6 +175,7 @@ def _check_bounds(base: BaseSequence, entries: list[tuple[int, int]]) -> None:
 
 def table(base: BaseSequence, lo: int, hi: int, fmt: RenderFormat = AUTO) -> list[str]:
     """Rendered representations of every value in [lo, hi]."""
+    _check_int("table range ends", lo, hi)
     if lo < 0:
         raise InvalidParameter(f"table start must be >= 0, got {lo}")
     if lo > hi:

@@ -21,7 +21,7 @@ class IndexBeyondCapacity(SeqBaseError):
     """A position or value lies past what a base can reach.
 
     A finite base has no term (or no digit bound) there, the prime base's
-    sieve stops below it, or a dense digit vector would be too wide to build.
+    sieve stops below it, or a digit string would be too long to write.
     """
 
 

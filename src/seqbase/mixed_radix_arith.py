@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .base_sequences import BaseSequence, _RadixSequence
 from .codec import Representation, _canonical_value, encode_greedy
+from .digit_text import _dense, _spell
 from .errors import (
     DivisionByZero,
     IndexBeyondCapacity,
@@ -30,9 +31,9 @@ class ArithTrace:
     `path` is "digitwise" when add or sub walked the carry/borrow chain of a
     pure mixed-radix base, and "decode" when there is no digit rule to walk.
     `events` holds one line per carry position or borrow; `states` holds the
-    working digit vector after each single borrow transfer, starting with
-    the untouched minuend.  The walk only records: the result always comes
-    from the values.
+    working digits after each single borrow transfer, starting with the
+    untouched minuend, spelled by the renderer's rule with separator ".".
+    The walk only records: the result always comes from the values.
     """
 
     path: str = ""
@@ -65,17 +66,6 @@ def _operands(x: Representation, y: Representation) -> tuple[BaseSequence, int, 
     if None in values:
         raise NotCanonical(f"operand is not canonical in base {x.base.name}")
     return x.base, *values
-
-
-def _dense(rep: Representation, width: int) -> list[int]:
-    return list(rep.digits) + [0] * (width - len(rep.digits))
-
-
-def _state(digits_le: list[int], sep: str = ".") -> str:
-    msd_first = digits_le[::-1]
-    if all(d <= 9 for d in msd_first):
-        return "".join(str(d) for d in msd_first)
-    return sep.join(str(d) for d in msd_first)
 
 
 def add(x: Representation, y: Representation, trace: ArithTrace | None = None) -> Representation:
@@ -130,7 +120,7 @@ def _walk_borrows(base: BaseSequence, x: Representation, y: Representation, trac
     trace.path = "digitwise"
     work = _dense(x, n + 1)
     b = _dense(y, n + 1)
-    trace.states.append(_state(work))
+    trace.states.append(_spell(work))
     for i in range(n + 1):
         if work[i] < b[i]:
             j = i + 1
@@ -140,7 +130,7 @@ def _walk_borrows(base: BaseSequence, x: Representation, y: Representation, trac
             for k in range(j, i, -1):
                 work[k] -= 1
                 work[k - 1] += base.digit_bound(k - 1) + 1
-                trace.states.append(_state(work))
+                trace.states.append(_spell(work))
 
 
 def mul(x: Representation, y: Representation, trace: ArithTrace | None = None) -> Representation:

@@ -91,6 +91,20 @@ class TestBuiltinFamilies:
         with pytest.raises(InvalidParameter):
             bs.make_builtin(kind, **params)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: bs.power_of(2.5),
+            lambda: bs.m_power(2.5),
+            lambda: bs.make_mixed_radix([1.5]),
+            lambda: bs.make_explicit([1, 2.5]),
+        ],
+        ids=["power", "mpower", "mixed-radix", "explicit"],
+    )
+    def test_parameter_that_is_not_an_int_rejected(self, make):
+        with pytest.raises(InvalidParameter):  # weights and bounds are naturals
+            make()
+
     def test_make_builtin_unknown_kind(self):
         with pytest.raises(InvalidParameter):
             bs.make_builtin("bernoulli")

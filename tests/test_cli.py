@@ -114,6 +114,7 @@ def test_value_beyond_finite_base_exits_three(capsys, finite_base_file):
     [
         ["encode", "--base", "prime", "1000000000000"],  # past the prime sieve's limit of 10^8
         ["encode", "--base", "square", "1" + "0" * 40],  # top position 10^20 - 1: too wide to render
+        ["encode", "--base", "square", "100000020000001"],  # (10^7 + 1)^2: top position exactly 10^7
     ],
 )
 def test_past_a_ceiling_exits_three(capsys, argv):
@@ -176,6 +177,15 @@ class TestTrace:
             "0401",
             "0331",
         ]
+
+    def test_delimited_states(self, capsys):
+        _, _, err = run(capsys, "sub", "--trace", "--base", "power:16", "1.0", ".3")
+        assert err.splitlines() == ["path: digitwise", "pos 0: 0 < 3, borrow reaches pos 1", "10", "0.16"]
+
+    def test_single_field_state_is_prefixed(self, capsys):
+        # the state reads back as 15, as render writes it, not as the compact digits 1 and 5
+        _, _, err = run(capsys, "sub", "--trace", "--base", "power:16", ".15", ".3")
+        assert err.splitlines() == ["path: digitwise", ".15"]
 
 
 class TestBigNumbers:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_digits import dense
 from seqbase import base_sequences as bs
 from seqbase import codec
 from seqbase.codec import (
@@ -66,7 +67,7 @@ class TestEncodeDecode:
     def test_prime_27(self, prime_base):
         rep = encode_greedy(prime_base, 27)
         # 27 = 23 + 3 + 1
-        assert rep.digits == (1, 0, 1, 0, 0, 0, 0, 0, 0, 1)
+        assert dense(rep) == (1, 0, 1, 0, 0, 0, 0, 0, 0, 1)
         assert decode(rep) == 27
 
     def test_zero_is_empty(self, all_builtin_bases):
@@ -77,11 +78,11 @@ class TestEncodeDecode:
 
     def test_square_24(self, square_base):
         # 24 = 16 + 2*4
-        assert encode_greedy(square_base, 24).digits == (0, 2, 0, 1)
+        assert dense(encode_greedy(square_base, 24)) == (0, 2, 0, 1)
 
     def test_factorial_31(self, factorial_base):
         rep = encode_greedy(factorial_base, 31)
-        assert rep.digits == (1, 0, 1, 1)
+        assert dense(rep) == (1, 0, 1, 1)
         assert 1 * 24 + 1 * 6 + 0 * 2 + 1 * 1 == 31
 
     def test_decode_prime_10100(self, prime_base):
@@ -102,6 +103,24 @@ class TestEncodeDecode:
     def test_negative_rejected(self, prime_base):
         with pytest.raises(InvalidParameter):
             encode_greedy(prime_base, -1)
+
+    @pytest.mark.parametrize(
+        "make, value",
+        [
+            (bs.fibonacci, 2.5),
+            (bs.lucas, 10**0.5),
+            (lambda: bs.power_of(10), 2.5),
+            (bs.factorial, 10**0.5),
+            (bs.prime, "7"),
+        ],
+        ids=["fibonacci", "lucas", "power10", "factorial", "prime"],
+    )
+    def test_value_that_is_not_an_int_rejected(self, make, value):
+        # a float would send the Fibonacci and Lucas walks appending entries without end
+        base = make()
+        for encode in (encode_greedy, expansion_superior_parts):
+            with pytest.raises(InvalidParameter):
+                encode(base, value)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=300, deadline=None)
@@ -132,7 +151,7 @@ class TestCanonicity:
     def test_prime_11_not_canonical(self, prime_base):
         rep = Representation.from_digits(prime_base, [1, 1])  # 3 = 2 + 1
         assert not is_canonical(rep)
-        assert encode_greedy(prime_base, 3).digits == (0, 0, 1)
+        assert dense(encode_greedy(prime_base, 3)) == (0, 0, 1)
 
     def test_zero_canonical(self, prime_base):
         assert is_canonical(Representation(prime_base))
@@ -223,7 +242,7 @@ class TestBinaryDigitLaws:
     def test_power_base_digits_match_decimal(self):
         base = bs.power_of(10)
         for value in (0, 7, 10, 305, 99999):
-            assert trimmed(int(c) for c in str(value)[::-1]) == encode_greedy(base, value).digits
+            assert trimmed(int(c) for c in str(value)[::-1]) == dense(encode_greedy(base, value))
 
 
 class TestExpansion:
@@ -267,6 +286,9 @@ class TestVerifyRange:
             verify_range(prime_base, 5, 4)
         with pytest.raises(InvalidParameter):
             verify_range(prime_base, -1, 4)
+        for lo, hi in ((0, 4.0), ("0", 4)):
+            with pytest.raises(InvalidParameter):
+                verify_range(prime_base, lo, hi)
 
     def test_report_counts_gate_passed(self):
         report = codec.VerificationReport(0, 10)
@@ -285,7 +307,7 @@ class TestUniquenessOracle:
         for value in range(cap + 1):
             forms = by_value.get(value, [])
             assert len(forms) == 1, f"value {value} has {len(forms)} canonical forms"
-            assert trimmed(forms[0]) == encode_greedy(base, value).digits
+            assert trimmed(forms[0]) == dense(encode_greedy(base, value))
 
 
 def successive_division(value, radix, top=None):
@@ -393,7 +415,7 @@ class TestProductBaseEncode:
         assert cap == base.max_encodable() == 239
         for value in range(cap + 1):
             want = successive_division(value, lambda i: i + 2, top=4)
-            assert [trimmed(form) for form in by_value[value]] == [encode_greedy(base, value).digits]
+            assert [trimmed(form) for form in by_value[value]] == [dense(encode_greedy(base, value))]
             assert list(encode_greedy(base, value).entries) == want
         with pytest.raises(IndexBeyondCapacity):
             encode_greedy(base, 240)
@@ -428,7 +450,7 @@ class TestOrderLaw:
         base = make()
         keys = []
         for value in range(10_001):
-            digits = encode_greedy(base, value).digits
+            digits = dense(encode_greedy(base, value))
             keys.append((len(digits), digits[::-1]))
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
@@ -436,7 +458,7 @@ class TestOrderLaw:
 class TestRepresentation:
     def test_from_digits_trims_trailing_zeros(self, prime_base):
         rep = Representation.from_digits(prime_base, [1, 0, 1, 0, 0])
-        assert rep.digits == (1, 0, 1)
+        assert dense(rep) == (1, 0, 1)
         assert rep.top == 2
 
     def test_negative_digit_rejected(self, prime_base):
@@ -450,6 +472,9 @@ class TestRepresentation:
             Representation(prime_base, ((0, 0),))
         for entries in (5, [(0, 1, 5)], [(0,)], [5], [("a", 1)], [(0, None)], [[0, 1], [1, "b"]]):
             with pytest.raises(InvalidParameter):  # not a pair, or items that do not compare with numbers
+                Representation(prime_base, entries)
+        for entries in ([(0.5, 1)], [(1, 2.5)], [[0, 1], [2, 1.0]]):
+            with pytest.raises(InvalidParameter):  # a position or digit that is not an integer
                 Representation(prime_base, entries)
         as_lists = Representation(prime_base, [[0, 1], [2, 1]])  # inner lists are held as tuples
         assert as_lists.entries == ((0, 1), (2, 1)) and as_lists == Representation(prime_base, ((0, 1), (2, 1)))
@@ -484,7 +509,5 @@ class TestRepresentation:
 
     def test_dense_vector_past_ceiling_refused(self, square_base):
         for rep in [Representation(square_base, ((10**7, 1),)), encode_greedy(square_base, 10**40)]:
-            with pytest.raises(IndexBeyondCapacity):
-                rep.digits
             with pytest.raises(IndexBeyondCapacity):
                 render(rep)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_digits import dense
 from golden_tables import FACTORIAL_TABLE, PRIME_TABLE, SQUARE_TABLE
 from seqbase import base_sequences as bs
 from seqbase.codec import Representation, decode, encode_greedy
@@ -63,7 +64,7 @@ class TestRender:
 class TestParse:
     def test_square_103(self):
         rep = parse(SQUARE, "103")
-        assert rep.digits == (3, 0, 1)
+        assert dense(rep) == (3, 0, 1)
         assert decode(rep) == 12
 
     def test_zero(self):
@@ -104,12 +105,12 @@ class TestParse:
     def test_prefixed_single_field(self):
         hexa = bs.power_of(16)
         rep = parse(hexa, ".12", AUTO)
-        assert rep.digits == (12,)
+        assert dense(rep) == (12,)
         assert decode(rep) == 12
 
     def test_auto_picks_grammar_by_separator(self):
-        assert parse(SQUARE, "12").digits == (2, 1)
-        assert parse(SQUARE, "1.2", AUTO).digits == (2, 1)
+        assert dense(parse(SQUARE, "12")) == (2, 1)
+        assert dense(parse(SQUARE, "1.2", AUTO)) == (2, 1)
 
     def test_parse_does_not_require_canonicity(self):
         # "11" in the prime base is 3, within bounds but not greedy
@@ -123,7 +124,7 @@ class TestParse:
 
     def test_finite_base_top_digit_unbounded(self):
         base = bs.make_explicit([1, 2, 3])
-        assert parse(base, "200").digits == (0, 0, 2)
+        assert dense(parse(base, "200")) == (0, 0, 2)
 
 
 EXPLICIT = bs.make_explicit([1, 2, 5, 11, 24])  # digit bounds 1, 1, 1, 1; position 4 unbounded
@@ -233,7 +234,7 @@ class TestRoundTrip:
         # compact strings never contain the separator; delimited ones always do (or are "0")
         for value in range(0, 4000, 7):
             rep = encode_greedy(FACTORIAL, value)
-            compact_s = render(rep, COMPACT) if all(d <= 9 for d in rep.digits) else None
+            compact_s = render(rep, COMPACT) if all(d <= 9 for d in dense(rep)) else None
             if compact_s is not None:
                 assert "." not in compact_s
             delim_s = render(rep, delimited())
@@ -253,3 +254,6 @@ class TestTable:
     def test_bad_range(self):
         with pytest.raises(InvalidParameter):
             table(PRIME, 3, 2)
+        for lo, hi in ((0, 2.5), (0.5, 3)):
+            with pytest.raises(InvalidParameter):
+                table(PRIME, lo, hi)

@@ -20,6 +20,10 @@ def test_all_is_pinned():
     assert not hasattr(seqbase, "is_pure_mixed_radix")
 
 
+def test_representation_holds_no_dense_digits():
+    assert not hasattr(seqbase.Representation, "digits")
+
+
 def test_every_public_name_resolves():
     for name in seqbase.__all__:
         assert getattr(seqbase, name) is not None
