@@ -197,6 +197,8 @@ class BaseSequence:
     the hooks it answers in closed form or from what it holds.
     """
 
+    _pure_upto: float = 1  # the largest upto is_pure_mixed_radix allows; product and explicit bases set their own
+
     def __init__(
         self,
         name: str,
@@ -209,6 +211,8 @@ class BaseSequence:
         self.capacity = capacity
         self._cache: Sequence[int] = terms or []  # the held terms: an explicit base's tuple, the prime table, else none
         self._max_encodable: int | None = None
+        if terms:
+            self._pure_upto = next((i for i, (a, b) in enumerate(zip(terms, terms[1:])) if b % a), len(terms) - 1)
 
     def __repr__(self) -> str:
         return f"BaseSequence({self.name!r})"
@@ -221,12 +225,14 @@ class BaseSequence:
 
     def term(self, i: int) -> int:
         """The weight w_i."""
+        _check_int("term index", i)
         if i < 0:
             raise InvalidParameter(f"term index must be >= 0, got {i}")
         return self._term(i)
 
     def digit_bound(self, i: int) -> int:
         """Largest digit allowed at position i: floor((w_{i+1} - 1) / w_i)."""
+        _check_int("digit position", i)
         if i < 0:
             raise InvalidParameter(f"digit position must be >= 0, got {i}")
         if self.capacity is not None and i + 1 >= self.capacity:
@@ -238,6 +244,7 @@ class BaseSequence:
 
     def superior_part(self, value: int) -> tuple[int, int]:
         """(index, weight) of the largest term <= value (a finite base's last term past its end)."""
+        _check_int("superior part value", value)
         if value < 1:
             raise InvalidParameter(f"superior part requires a value >= 1, got {value}")
         return self._index_le(value)
@@ -368,6 +375,7 @@ class _RadixSequence(BaseSequence):
         self._radix, self._weight, self._index_estimate = radix, weight, index_estimate
         self._lock = threading.Lock()
         self._last = None if capacity is None else capacity - 1  # a finite base's top position
+        self._pure_upto = math.inf if capacity is None else self._last
         self._chunks: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         self._cover = (0, 1)
         if capacity is not None:

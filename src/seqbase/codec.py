@@ -4,12 +4,13 @@ A representation is canonical exactly when it is what the greedy algorithm
 produces: every prefix value (the sum of digits below a position, weighted)
 stays strictly below that position's weight.
 
-This module keeps the contracts: the argument checks, the errors, the
-capacity of a finite base and `Representation`, a number's sparse digits.
-The loops themselves are kernels of each base family (`_greedy`,
-`_terms_at`, `_decode`, `_value_if_canonical` and `_is_canonical` of
-`base_sequences.BaseSequence`), so the codec reaches every family the
-same way and reads none of its tables.
+This module keeps the contracts: the argument checks, the errors,
+`Representation`, a number's sparse digits, and `_check_digits`, the one
+home of the finite-capacity and digit-bound rule that `parse` and
+`verify_range` apply.  The loops themselves are kernels of each base
+family (`_greedy`, `_terms_at`, `_decode`, `_value_if_canonical` and
+`_is_canonical` of `base_sequences.BaseSequence`), so the codec reaches
+every family the same way and reads none of its tables.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .base_sequences import BaseSequence, _check_int
-from .errors import IndexBeyondCapacity, InvalidParameter
+from .errors import DigitOutOfRange, IndexBeyondCapacity, InvalidParameter
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,21 @@ def is_canonical(rep: Representation) -> bool:
     return not rep.entries or rep.base._is_canonical(rep.entries)
 
 
+def _check_digits(base: BaseSequence, entries) -> None:
+    """Raise at the lowest bad ascending entry: IndexBeyondCapacity past a finite base's top, else DigitOutOfRange.
+
+    A finite base's top digit has no bound.  The loop settles what `digit_bound` checks, so it asks `_bound`.
+    """
+    last = None if base.capacity is None else base.capacity - 1  # a finite base's top position
+    bound = base._bound
+    for i, d in entries:
+        if last is not None and i >= last:
+            if i > last:
+                raise IndexBeyondCapacity(f"digit at position {i} but base {base.name} has {last + 1} terms")
+        elif d > bound(i):
+            raise DigitOutOfRange(i, f"digit {d} at position {i} exceeds bound {bound(i)} in base {base.name}")
+
+
 def expansion_superior_parts(base: BaseSequence, value: int) -> list[int]:
     """Terms removed by iterating the largest-weight rule, largest first.
 
@@ -192,8 +208,6 @@ def verify_range(base: BaseSequence, lo: int, hi: int) -> VerificationReport:
     if lo > hi:
         raise InvalidParameter(f"empty range [{lo}, {hi}]")
     report = VerificationReport(lo, hi)
-    bound = base.digit_bound
-    cap = base.capacity
     for value in range(lo, hi + 1):
         ok = True
         entries = _greedy_entries(base, value)
@@ -204,13 +218,11 @@ def verify_range(base: BaseSequence, lo: int, hi: int) -> VerificationReport:
         elif back != value:
             report.roundtrip_failures += 1
             ok = False
-        for i, d in entries:
-            if cap is not None and i + 1 >= cap:
-                continue
-            if d > bound(i):
-                report.bound_violations += 1
-                ok = False
-                break
+        try:
+            _check_digits(base, entries)
+        except DigitOutOfRange:
+            report.bound_violations += 1
+            ok = False
         if not ok and report.first_failure is None:
             report.first_failure = value
     return report

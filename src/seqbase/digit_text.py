@@ -9,8 +9,8 @@ collide.
 Parsing does its per-digit work at the nonzero positions only: the
 prime, square and m-power bases write a modest number as a long string of
 mostly zeros.  It builds the (position, digit) entries straight from the
-string, with no dense digit vector, and checks the capacity of a finite
-base and the digit bounds at the nonzero positions, lowest first.
+string, with no dense digit vector, and has the codec's digit-word check
+(`codec._check_digits`) test those entries, lowest first.
 Rendering still writes every position: a cheaper renderer waits for a
 wall-time cap on the benchmark's unclocked output checks (ROADMAP item 1).
 """
@@ -21,10 +21,9 @@ import re
 from dataclasses import dataclass
 
 from .base_sequences import BaseSequence, _check_int
-from .codec import Representation, encode_greedy
+from .codec import Representation, _check_digits, encode_greedy
 from .errors import (
     CompactOverflow,
-    DigitOutOfRange,
     DigitSyntaxError,
     IndexBeyondCapacity,
     InvalidParameter,
@@ -98,9 +97,9 @@ def parse(base: BaseSequence, s: str, fmt: RenderFormat = AUTO) -> Representatio
 
     The whole string's syntax is checked first (a delimited string field
     by field, most significant first).  The (position, digit) entries of
-    the nonzero digits are read straight from the string, and the
-    finite-base capacity and digit bounds are checked at the nonzero
-    positions only, lowest position first; no dense digit vector is built.
+    the nonzero digits are read straight from the string, with no dense
+    digit vector, and the codec's `_check_digits` checks their positions
+    and bounds, lowest position first.
     """
     if not s:
         raise DigitSyntaxError("empty digit string")
@@ -113,7 +112,7 @@ def parse(base: BaseSequence, s: str, fmt: RenderFormat = AUTO) -> Representatio
         entries = _compact_entries(s)
     else:
         entries = _delimited_entries(s, fmt.separator)
-    _check_bounds(base, entries)
+    _check_digits(base, entries)
     return Representation(base, tuple(entries))
 
 
@@ -154,23 +153,6 @@ def _delimited_entries(s: str, sep: str) -> list[tuple[int, int]]:
         raise LeadingZero(f"most significant digit is zero in {s!r}")
     entries.reverse()
     return entries
-
-
-def _check_bounds(base: BaseSequence, entries: list[tuple[int, int]]) -> None:
-    cap = base.capacity
-    for i, d in entries:
-        if cap is not None:
-            if i >= cap:
-                raise IndexBeyondCapacity(
-                    f"digit at position {i} but base {base.name} has {cap} terms"
-                )
-            if i == cap - 1:
-                continue  # top term of a finite base carries no digit bound
-        bound = base.digit_bound(i)
-        if d > bound:
-            raise DigitOutOfRange(
-                i, f"digit {d} at position {i} exceeds bound {bound} in base {base.name}"
-            )
 
 
 def table(base: BaseSequence, lo: int, hi: int, fmt: RenderFormat = AUTO) -> list[str]:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .base_sequences import BaseSequence, _RadixSequence
+from . import digit_text
+from .base_sequences import BaseSequence
 from .codec import Representation, _canonical_value, encode_greedy
 from .digit_text import _dense, _spell
 from .errors import (
@@ -32,8 +33,10 @@ class ArithTrace:
     pure mixed-radix base, and "decode" when there is no digit rule to walk.
     `events` holds one line per carry position or borrow; `states` holds the
     working digits after each single borrow transfer, starting with the
-    untouched minuend, spelled by the renderer's rule with separator ".".
-    The walk only records: the result always comes from the values.
+    untouched minuend, spelled by the renderer's rule with separator ".";
+    states that together would pass the renderer's 10^7-character ceiling
+    raise IndexBeyondCapacity.  The walk only records: the result always
+    comes from the values.
     """
 
     path: str = ""
@@ -44,18 +47,15 @@ class ArithTrace:
 def is_pure_mixed_radix(base: BaseSequence, upto: int) -> bool:
     """True when w_{i+1} = (digit_bound(i) + 1) * w_i for every i < upto.
 
-    A finite base with no weight w_upto is not pure that far.  A product
-    base (factorial, power-p, mixed radix) is pure by construction, so it
-    answers without reading a term; any other base is checked term by term.
+    That is, w_i divides w_{i+1} for i < upto and w_upto exists.  Each base
+    sets the largest such upto, `_pure_upto`, when it is built, so no term
+    is read: a product base's top position or infinity, an explicit base's
+    first i where w_i does not divide w_{i+1} or its top position, and 1 for
+    every other family, whose w_1 = t_0 + 1 does not divide w_2.
     """
     if upto < 1:
         raise InvalidParameter(f"upto must be >= 1, got {upto}")
-    if isinstance(base, _RadixSequence):
-        return base.capacity is None or upto < base.capacity
-    try:
-        return all(base.term(i + 1) == (base.digit_bound(i) + 1) * base.term(i) for i in range(upto))
-    except IndexBeyondCapacity:
-        return False
+    return upto <= base._pure_upto
 
 
 def _operands(x: Representation, y: Representation) -> tuple[BaseSequence, int, int]:
@@ -114,13 +114,23 @@ def sub(x: Representation, y: Representation, trace: ArithTrace | None = None) -
 
 def _walk_borrows(base: BaseSequence, x: Representation, y: Representation, trace: ArithTrace) -> None:
     n = x.top
-    if n < 0 or (n > 0 and not is_pure_mixed_radix(base, n)):
+    if n < 0 or n > base._pure_upto:  # borrows read the radices t_i + 1 below the top n only
         trace.path = "decode"
         return
     trace.path = "digitwise"
     work = _dense(x, n + 1)
     b = _dense(y, n + 1)
-    trace.states.append(_spell(work))
+    room = digit_text._WRITE_LIMIT  # characters the spelled states may still take
+
+    def record() -> None:
+        nonlocal room
+        state = _spell(work)
+        room -= len(state)
+        if room < 0:
+            raise IndexBeyondCapacity(f"a borrow trace past {digit_text._WRITE_LIMIT} characters is too long to write")
+        trace.states.append(state)
+
+    record()
     for i in range(n + 1):
         if work[i] < b[i]:
             j = i + 1
@@ -130,7 +140,7 @@ def _walk_borrows(base: BaseSequence, x: Representation, y: Representation, trac
             for k in range(j, i, -1):
                 work[k] -= 1
                 work[k - 1] += base.digit_bound(k - 1) + 1
-                trace.states.append(_spell(work))
+                record()
 
 
 def mul(x: Representation, y: Representation, trace: ArithTrace | None = None) -> Representation:

@@ -513,6 +513,20 @@ class TestInvariants:
         with pytest.raises(InvalidParameter):
             prime_base.digit_bound(-2)
 
+    @pytest.mark.parametrize("method", ["term", "digit_bound", "superior_part"])
+    @pytest.mark.parametrize(
+        "make",
+        [bs.prime, bs.square, lambda: bs.m_power(3), bs.factorial, lambda: bs.power_of(10), bs.fibonacci,
+         bs.lucas, lambda: bs.make_explicit([1, 2, 4, 7]), lambda: bs.make_mixed_radix([1, 2, 3, 4]),
+         lambda: bs.make_mixed_radix([3, 1, 4], cyclic=True)],
+        ids=["prime", "square", "mpower3", "factorial", "power10", "fibonacci", "lucas", "explicit",
+             "mixed-radix", "cyclic"],
+    )
+    @pytest.mark.parametrize("arg", [2.5, "1"], ids=["float", "str"])
+    def test_argument_that_is_not_an_int_rejected(self, make, method, arg):
+        with pytest.raises(InvalidParameter):
+            getattr(make(), method)(arg)
+
     def test_signature_equality(self):
         assert bs.prime() == bs.prime()
         assert bs.m_power(3) == bs.m_power(3)

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from conftest import run_capped
-from seqbase import cli, codec
+from seqbase import cli, codec, digit_text
 from seqbase.codec import VerificationReport
 
 
@@ -186,6 +186,15 @@ class TestTrace:
         # the state reads back as 15, as render writes it, not as the compact digits 1 and 5
         _, _, err = run(capsys, "sub", "--trace", "--base", "power:16", ".15", ".3")
         assert err.splitlines() == ["path: digitwise", ".15"]
+
+    def test_borrow_states_past_the_write_limit_exit_three(self, capsys, monkeypatch):
+        # 2^9 - 1 in power:2 borrows across nine zeros: ten states of ten characters
+        monkeypatch.setattr(digit_text, "_WRITE_LIMIT", 100)
+        code, _, err = run(capsys, "sub", "--trace", "--base", "power:2", "1" + "0" * 9, "1")
+        assert (code, len(err.splitlines())) == (cli.EXIT_OK, 12)
+        monkeypatch.setattr(digit_text, "_WRITE_LIMIT", 99)
+        code, out, _ = run(capsys, "sub", "--trace", "--base", "power:2", "1" + "0" * 9, "1")
+        assert (code, out) == (cli.EXIT_CAPACITY, "")
 
 
 class TestBigNumbers:

@@ -290,6 +290,20 @@ class TestVerifyRange:
             with pytest.raises(InvalidParameter):
                 verify_range(prime_base, lo, hi)
 
+    def test_greedy_digit_over_its_bound_is_counted(self, monkeypatch):
+        base = bs.factorial()
+        greedy = base._greedy
+        monkeypatch.setattr(base, "_greedy", lambda value: [(0, 5)] if value == 7 else greedy(value))  # t_0 = 1
+        report = verify_range(base, 0, 20)
+        assert (report.bound_violations, report.first_failure) == (1, 7)
+
+    def test_greedy_top_digit_of_a_finite_base_has_no_bound(self, monkeypatch):
+        base = bs.make_mixed_radix([1, 2, 3, 4])  # weights 1, 2, 6, 24, 120
+        greedy = base._greedy
+        monkeypatch.setattr(base, "_greedy", lambda value: [(4, 2)] if value == 7 else greedy(value))
+        report = verify_range(base, 0, 20)
+        assert (report.bound_violations, report.canonicity_violations, report.first_failure) == (0, 1, 7)
+
     def test_report_counts_gate_passed(self):
         report = codec.VerificationReport(0, 10)
         assert report.passed

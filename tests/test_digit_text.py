@@ -184,6 +184,10 @@ class TestParseErrorParity:
     def test_finite_top_term_is_exempt_from_the_bound(self, base, text, entries):
         assert parse(base, text).entries == entries
 
+    def test_a_top_digit_alone_is_unbounded(self):
+        assert parse(bs.make_mixed_radix([1, 2, 3, 4]), "2.0.0.0.0").entries == ((4, 2),)
+        assert parse(bs.make_explicit([1, 2, 4, 7]), "5000").entries == ((3, 5),)
+
 
 class TestSparseParse:
     def test_keeps_no_dense_vector(self):

@@ -58,6 +58,27 @@ class TestPurity:
         assert decode(add(encode_greedy(PRIME, 1), encode_greedy(PRIME, 1), trace=trace)) == 2
         assert trace.path == "digitwise"
 
+    def test_purity_reads_no_term(self, monkeypatch):
+        def no_term(i):
+            raise AssertionError(f"purity read term {i}")
+
+        answers = [
+            (bs.prime(), (True, False)),
+            (bs.square(), (True, False)),
+            (bs.m_power(3), (True, False)),
+            (bs.fibonacci(), (True, False)),
+            (bs.lucas(), (True, False)),
+            (bs.make_explicit([1, 2, 4, 7]), (True, True, False, False)),
+            (bs.make_explicit([1]), (False,)),
+            (bs.factorial(), (True, True, True)),
+            (bs.power_of(10), (True, True, True)),
+            (bs.make_mixed_radix([3, 1, 4], cyclic=True), (True, True, True)),
+            (bs.make_mixed_radix([1, 2, 3, 4]), (True, True, True, True, False, False)),
+        ]
+        for base, expected in answers:
+            monkeypatch.setattr(base, "_term", no_term)
+            assert tuple(is_pure_mixed_radix(base, upto) for upto in range(1, len(expected) + 1)) == expected, base.name
+
     def test_upto_must_be_positive(self):
         with pytest.raises(InvalidParameter):
             is_pure_mixed_radix(FACTORIAL, 0)
