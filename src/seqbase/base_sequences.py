@@ -190,6 +190,13 @@ class BaseSequence:
     superior part, and the canonical check keeps the running prefix sum
     below each next weight.
 
+    A finite base of terms w_0 .. w_N sets its top position `_last` = N
+    (None when the base is unbounded) and its largest value M =
+    `_max_encodable` when it is built.  M + 1 is the successor of the top
+    term, so the top position keeps the prefix rule of every other one
+    (Fraenkel, "Systems of numeration", 1985): the running sum stays below
+    the next weight, or below M + 1 at N.
+
     The default hooks serve an explicit base, which holds all of its terms
     in a tuple from construction: they index and bisect that tuple, and a
     bound is divided out of two terms, floor((w_{i+1} - 1) / w_i).  Such a
@@ -209,10 +216,12 @@ class BaseSequence:
         self.name = name
         self.signature = signature
         self.capacity = capacity
+        self._last = None if capacity is None else capacity - 1  # a finite base's top position N
         self._cache: Sequence[int] = terms or []  # the held terms: an explicit base's tuple, the prime table, else none
-        self._max_encodable: int | None = None
+        self._max_encodable: int | None = None  # a finite base's largest value M
         if terms:
             self._pure_upto = next((i for i, (a, b) in enumerate(zip(terms, terms[1:])) if b % a), len(terms) - 1)
+            self._max_encodable = terms[-1] + sum((b - 1) // a * a for a, b in zip(terms, terms[1:]))
 
     def __repr__(self) -> str:
         return f"BaseSequence({self.name!r})"
@@ -235,7 +244,7 @@ class BaseSequence:
         _check_int("digit position", i)
         if i < 0:
             raise InvalidParameter(f"digit position must be >= 0, got {i}")
-        if self.capacity is not None and i + 1 >= self.capacity:
+        if self._last is not None and i >= self._last:
             raise IndexBeyondCapacity(
                 f"digit bound undefined at position {i}: "
                 f"base {self.name} has no term {i + 1}"
@@ -250,19 +259,13 @@ class BaseSequence:
         return self._index_le(value)
 
     def max_encodable(self) -> int | None:
-        """Largest greedy-encodable value, or None when the base is unbounded.
+        """Largest greedy-encodable value M, or None when the base is unbounded.
 
-        For a finite base the top term has no successor to bound its digit,
-        so values are capped at w_N plus every lower position at its bound.
+        A finite base fixes M when it is built: w_N plus every lower
+        position at its bound, t_i w_i.  M + 1 serves as the successor of
+        the top term w_N, so the top position keeps the prefix rule of
+        every other one.
         """
-        if self.capacity is None:
-            return None
-        if self._max_encodable is None:
-            last = self.capacity - 1
-            total = self.term(last)
-            for i in range(last):
-                total += self.digit_bound(i) * self.term(i)
-            self._max_encodable = total
         return self._max_encodable
 
     def _term(self, i: int) -> int:
@@ -308,22 +311,17 @@ class BaseSequence:
 
     def _value_if_canonical(self, entries: Sequence[tuple[int, int]]) -> int | None:
         """The value of the ascending entries if they are its greedy form, else None."""
-        cap = self.capacity
-        last = -1 if cap is None else cap - 1  # a finite base's top term has no successor to test against
-        if cap is not None and entries[-1][0] > last:
+        last = self._last
+        if last is not None and entries[-1][0] > last:
             return None
         term = self._term
         running = 0
         for i, d in entries:
-            if i == last:
-                running += d * term(i)
-                continue
-            ceiling = term(i + 1)  # before w_i: a position past the base's reach raises before w_i is built
+            # before w_i: a position past the base's reach raises before w_i is built
+            ceiling = self._max_encodable + 1 if i == last else term(i + 1)
             running += d * term(i)
             if running >= ceiling:
                 return None
-        if cap is not None and running > self.max_encodable():
-            return None
         return running
 
     def _is_canonical(self, entries: Sequence[tuple[int, int]]) -> bool:
@@ -340,9 +338,10 @@ class _RadixSequence(BaseSequence):
     from log2 v, computes that one weight and steps by radices to bracket v.
     `digit_bound(i)` is radix(i) - 1 at every position.  A word is
     canonical exactly when every d_i <= t_i (Fraenkel, "Systems of
-    numeration", 1985), and a finite base's top term, which has no radix,
-    takes a digit of at most 1, since the positions below it sum to at most
-    w_top - 1; that verdict reads no weight and no table.
+    numeration", 1985); that verdict reads no weight and no table.  A
+    finite base's top term w_N is read as a radix-2 position: the positions
+    below it sum to at most w_N - 1, so its successor M + 1 is 2 w_N, and
+    its digit is at most 1 by the same rule.
 
     The chunk table is a list of (R, radices, prefixes) tuples: consecutive
     radices, from position 0 up, with R their product and prefixes the
@@ -350,9 +349,8 @@ class _RadixSequence(BaseSequence):
     radices while R stays below one CPython limb; a radix that is a limb or
     more by itself fills a chunk alone.  Greedy divides by the chunks;
     decode walks their products up, w_i being the product of the chunks
-    below i's chunk times i's prefix in it.  `_cover` is (n, reach): the
-    table covers positions 0 .. n - 1, and every value below reach, which
-    is w_n, or 2 w_n once the table has grown for a finite base's top term n.
+    below i's chunk times i's prefix in it.  `_cover` is (n, w_n): the
+    table covers positions 0 .. n - 1, and so every value below w_n.
     The table is the base's only state that grows.  It grows under the lock
     and is read without it, and only grows: the next radix joins the last
     chunk in place while their product stays below a limb, and otherwise
@@ -374,12 +372,11 @@ class _RadixSequence(BaseSequence):
         super().__init__(name, signature, capacity=capacity)
         self._radix, self._weight, self._index_estimate = radix, weight, index_estimate
         self._lock = threading.Lock()
-        self._last = None if capacity is None else capacity - 1  # a finite base's top position
         self._pure_upto = math.inf if capacity is None else self._last
         self._chunks: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         self._cover = (0, 1)
         if capacity is not None:
-            self._max_encodable = 2 * weight(self._last) - 1  # w_top + sum of t_i w_i below it, which is w_top - 1
+            self._max_encodable = 2 * weight(self._last) - 1  # w_N + sum of t_i w_i below it, which is w_N - 1
 
     def _term(self, i: int) -> int:
         if self._last is not None and i > self._last:
@@ -404,14 +401,11 @@ class _RadixSequence(BaseSequence):
         return i, w
 
     def _extend(self, top: int, w_top: int) -> None:
-        """Grow the chunk table through position top's radix (a finite base's top term has none), given w_top."""
-        if top == self._last:
-            n, reach = top, 2 * w_top
-        else:
-            n, reach = top + 1, w_top * self._radix(top)
+        """Grow the chunk table through position top's radix, given w_top."""
+        n = top + 1
         with self._lock:
-            covered, held = self._cover
-            if n <= covered and reach <= held:  # a finite top may raise the reach over the same positions
+            covered = self._cover[0]
+            if n <= covered:
                 return
             chunks = self._chunks
             for j in range(covered, n):
@@ -421,11 +415,11 @@ class _RadixSequence(BaseSequence):
                     chunks[-1] = (product * r, radices + (r,), prefixes + (product,))
                 else:
                     chunks.append((r, (r,), (1,)))
-            self._cover = n, reach
+            self._cover = n, w_top * self._radix(top)
 
     def _chunks_through(self, top: int) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
         """The chunk table, grown if it does not hold the radices through position top."""
-        if top + (top != self._last) > self._cover[0]:  # position top needs a radix unless it is a finite top
+        if top >= self._cover[0]:
             self._extend(top, self._term(top))
         return self._chunks
 
@@ -457,8 +451,6 @@ class _RadixSequence(BaseSequence):
             if not q:
                 break
             pos += len(radices)
-        else:  # what a finite base's radices leave is its top term's digit
-            entries.append((pos, q))
         return entries
 
     def _decode(self, entries: Sequence[tuple[int, int]]) -> int:
@@ -476,8 +468,7 @@ class _RadixSequence(BaseSequence):
         for i, d in entries:
             while i >= end:
                 big *= product
-                # past every chunk lies only a finite base's top term, whose weight is big
-                product, _, prefixes = chunks[k] if k < len(chunks) else (1, (), (1,))
+                product, _, prefixes = chunks[k]
                 k, pos, end = k + 1, end, end + len(prefixes)
             total += big * (d * prefixes[i - pos])
         return total
@@ -490,7 +481,7 @@ class _RadixSequence(BaseSequence):
         for i, _ in entries:
             while i >= end:
                 big *= product
-                product, _, prefixes = chunks[k] if k < len(chunks) else (1, (), (1,))
+                product, _, prefixes = chunks[k]
                 k, pos, end = k + 1, end, end + len(prefixes)
             yield big * prefixes[i - pos]
 
@@ -498,12 +489,7 @@ class _RadixSequence(BaseSequence):
         return self._decode(entries) if self._is_canonical(entries) else None
 
     def _is_canonical(self, entries: Sequence[tuple[int, int]]) -> bool:
-        top, d = entries[-1]
-        if top == self._last:  # the top term of a finite base
-            if d > 1:
-                return False
-            entries = entries[:-1]
-        elif self._last is not None and top > self._last:
+        if self._last is not None and entries[-1][0] > self._last:
             return False
         radix = self._radix
         for i, d in entries:  # a loop: all() over a generator reads about 1.3x the time here
@@ -869,8 +855,9 @@ def make_mixed_radix(bounds: Sequence[int], cyclic: bool = False) -> BaseSequenc
     digit_bound(i) is exactly t_i.  A finite base has len(bounds) + 1
     weights; a cyclic one repeats the bounds forever, so [9] with
     cyclic=True gives the decimal weights 1, 10, 100, ...  A digit word is
-    canonical exactly when every d_i <= t_i, and in a finite base the top
-    position, which has no bound of its own, holds a digit of at most 1.
+    canonical exactly when every d_i <= t_i.  In a finite base the top
+    position has no bound of its own, and the kernels read it as a radix of
+    2, so it holds a digit of at most 1.
     """
     bounds = tuple(bounds)
     if not bounds:
@@ -897,7 +884,7 @@ def make_mixed_radix(bounds: Sequence[int], cyclic: bool = False) -> BaseSequenc
     return _RadixSequence(
         _name("mixed-radix", list(bounds)) + (" cyclic" if cyclic else ""),
         ("mixed-radix", bounds, cyclic),
-        (lambda i: radices[i % period]) if cyclic else radices.__getitem__,
+        (lambda i: radices[i % period]) if cyclic else (radices + (2,)).__getitem__,
         weight,
         index_estimate,
         capacity=None if cyclic else len(bounds) + 1,

@@ -170,9 +170,10 @@ def is_canonical(rep: Representation) -> bool:
 def _check_digits(base: BaseSequence, entries) -> None:
     """Raise at the lowest bad ascending entry: IndexBeyondCapacity past a finite base's top, else DigitOutOfRange.
 
-    A finite base's top digit has no bound.  The loop settles what `digit_bound` checks, so it asks `_bound`.
+    A finite base's top position is `base._last`, and its digit has no bound here: the top term's
+    successor M + 1 caps the value, not the digit.  The loop settles what `digit_bound` checks, so it asks `_bound`.
     """
-    last = None if base.capacity is None else base.capacity - 1  # a finite base's top position
+    last = base._last
     bound = base._bound
     for i, d in entries:
         if last is not None and i >= last:
@@ -187,9 +188,15 @@ def expansion_superior_parts(base: BaseSequence, value: int) -> list[int]:
 
     The list is non-increasing, sums to the value, and as a multiset equals
     the weighted digits of encode_greedy: each position contributes its
-    weight once per unit of its digit.
+    weight once per unit of its digit.  A list longer than the ceiling on
+    written digit strings raises IndexBeyondCapacity before it is built.
     """
+    from . import digit_text  # the ceiling's home, which imports this module
+
     entries = _greedy_entries(base, value)
+    limit = digit_text._WRITE_LIMIT
+    if sum(d for _, d in entries) > limit:
+        raise IndexBeyondCapacity(f"an expansion of more than {limit} superior parts is too long to list")
     if not entries:
         return []
     terms = list(base._terms_at(entries))

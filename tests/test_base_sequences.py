@@ -160,6 +160,24 @@ class TestExplicit:
         assert bs.make_explicit([1, 2, 3]).max_encodable() == 6
         assert bs.prime().max_encodable() is None
 
+    @pytest.mark.parametrize(
+        "make, cap",
+        [
+            pytest.param(lambda: bs.make_explicit([1, 3, 4]), 9, id="explicit"),  # 4 + 2*1 + 1*3
+            pytest.param(lambda: bs.make_mixed_radix([1, 2, 3, 4]), 239, id="mixed-radix"),  # 2 * 120 - 1
+        ],
+    )
+    def test_max_encodable_is_fixed_when_built(self, make, cap, monkeypatch):
+        base = make()
+
+        def no_term(i):
+            raise AssertionError(f"w_{i} read after the base was built")
+
+        monkeypatch.setattr(base, "_term", no_term)
+        assert base.max_encodable() == cap
+        with pytest.raises(IndexBeyondCapacity):
+            encode_greedy(base, cap + 1)
+
 
 class TestMixedRadix:
     def test_factorial_weights_from_growing_bounds(self):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dense_digits import dense
 from seqbase import base_sequences as bs
-from seqbase import codec
+from seqbase import codec, digit_text
 from seqbase.codec import (
     Representation,
     decode,
@@ -266,6 +266,16 @@ class TestExpansion:
                     weighted[base.term(i)] += d
                 assert Counter(parts) == weighted
 
+    def test_past_the_write_limit_raises_before_the_list(self, monkeypatch):
+        # 10^20 - 1 in base 10 removes 180 terms; a ceiling of 10^7 at 10^9 - 1
+        # in power:10^9 would otherwise build a list of a billion weights
+        base = bs.power_of(10)
+        monkeypatch.setattr(digit_text, "_WRITE_LIMIT", 180)
+        assert expansion_superior_parts(base, 10**20 - 1) == [10**k for k in range(19, -1, -1) for _ in range(9)]
+        monkeypatch.setattr(digit_text, "_WRITE_LIMIT", 179)
+        with pytest.raises(IndexBeyondCapacity):
+            expansion_superior_parts(base, 10**20 - 1)
+
 
 class TestVerifyRange:
     def test_prime_range_passes(self, prime_base):
@@ -312,8 +322,12 @@ class TestVerifyRange:
         assert "FAIL" in report.summary()
 
 
+# [1, 3, 4]: the top digit reaches 2, at 8 = 2 * 4 and 9 = 1 + 2 * 4
+ORACLE_TERMS = [[1, 2, 3], [1, 2, 4, 8], [1, 3, 4, 7], [1, 2, 5, 11, 24], [1, 3, 4]]
+
+
 class TestUniquenessOracle:
-    @pytest.mark.parametrize("terms", [[1, 2, 3], [1, 2, 4, 8], [1, 3, 4, 7], [1, 2, 5, 11, 24]])
+    @pytest.mark.parametrize("terms", ORACLE_TERMS)
     def test_exactly_one_canonical_form_per_value(self, terms):
         by_value, cap = enumerate_canonical_forms(terms)
         base = bs.make_explicit(terms)
@@ -322,6 +336,25 @@ class TestUniquenessOracle:
             forms = by_value.get(value, [])
             assert len(forms) == 1, f"value {value} has {len(forms)} canonical forms"
             assert trimmed(forms[0]) == dense(encode_greedy(base, value))
+
+    @pytest.mark.parametrize("terms", ORACLE_TERMS)
+    def test_verdict_on_every_word(self, terms):
+        # every word, canonical or not, with each lower digit up to t_i + 1 and the
+        # top digit up to cap // w_N + 1, against the prefix rule and value <= cap
+        n = len(terms) - 1
+        bounds = [(terms[i + 1] - 1) // terms[i] for i in range(n)]
+        cap = terms[n] + sum(t * w for t, w in zip(bounds, terms))
+        base = bs.make_explicit(terms)
+        canonical = 0
+        for digits in itertools.product(*[range(t + 2) for t in bounds], range(cap // terms[n] + 2)):
+            value = sum(d * w for d, w in zip(digits, terms))
+            prefixes = itertools.accumulate(d * w for d, w in zip(digits, terms))
+            ok = all(p < w for p, w in zip(prefixes, terms[1:])) and value <= cap
+            rep = Representation.from_digits(base, digits)
+            assert is_canonical(rep) == ok, digits
+            assert codec._canonical_value(base, rep.entries) == (value if ok else None), digits
+            canonical += ok
+        assert canonical == cap + 1
 
 
 def successive_division(value, radix, top=None):

@@ -153,17 +153,18 @@ class TestMaxEncodable:
 
 class TestCover:
     @pytest.mark.parametrize("bounds", [[1, 2, 1], [3, 1, 4, 1, 5]])
-    def test_top_term_raises_the_reach_over_the_same_positions(self, bounds):
+    def test_top_term_takes_a_radix_of_two(self, bounds):
         # below w_last the table covers the radices and reaches w_last; the
-        # top term adds no radix but raises the reach to 2 w_last
+        # top term's successor M + 1 = 2 w_last adds one more position of radix 2
         last = len(bounds)
         weights = plain_weights(lambda i: bounds[i] + 1, last + 1)
         base = bs.make_mixed_radix(bounds)
         assert decode(encode_greedy(base, weights[last] - 1)) == weights[last] - 1
         assert base._cover == (last, weights[last])
         assert decode(encode_greedy(base, weights[last])) == weights[last]
-        assert base._cover == (last, 2 * weights[last])
-        assert sum(len(radices) for _, radices, _ in base._chunks) == last
+        assert base._cover == (last + 1, 2 * weights[last])
+        assert sum(len(radices) for _, radices, _ in base._chunks) == last + 1
+        assert base._chunks[-1][1][-1] == 2
         assert [decode(encode_greedy(base, v)) for v in range(2 * weights[last])] == list(range(2 * weights[last]))
 
 
